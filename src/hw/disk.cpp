@@ -31,7 +31,17 @@ void DiskModel::enqueue(Request req) {
       rotation_.push_back(req.stream);
     }
   }
-  it->second.pending.emplace(req.offset, std::move(req));
+  // Both forms insert at the upper bound of equal offsets, so a recycled
+  // node takes exactly the elevator position a fresh one would.
+  if (spare_nodes_.empty()) {
+    it->second.pending.emplace(req.offset, req);
+  } else {
+    Pending::node_type node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.key() = req.offset;
+    node.mapped() = req;
+    it->second.pending.insert(std::move(node));
+  }
   ++queued_;
   max_runnable_ = std::max(max_runnable_, rotation_.size() + (have_current_ ? 1 : 0));
   work_.trigger();
@@ -166,8 +176,9 @@ sim::Task DiskModel::service_loop() {
       auto ge = q.lower_bound(head->second);
       if (ge != q.end()) pick = ge;
     }
-    Request req = std::move(pick->second);
-    q.erase(pick);
+    Pending::node_type node = q.extract(pick);
+    const Request req = node.mapped();
+    spare_nodes_.push_back(std::move(node));
     --queued_;
     if (q.empty()) --runnable_;
     ++batch_used_;

@@ -132,8 +132,9 @@ class DiskModel {
   };
 
   /// Per-stream elevator queue: requests served in ascending offset order.
+  using Pending = std::multimap<Bytes, Request>;
   struct StreamQueue {
-    std::multimap<Bytes, Request> pending;
+    Pending pending;
   };
 
   void enqueue(Request req);
@@ -145,6 +146,9 @@ class DiskModel {
   sim::Event work_;
 
   std::unordered_map<StreamId, StreamQueue> queues_;
+  // Nodes of serviced requests, re-keyed by the next enqueue: the elevator
+  // allocates a node only when its total queue depth reaches a new high.
+  std::vector<Pending::node_type> spare_nodes_;
   std::deque<StreamId> rotation_;  // runnable streams, oldest first
   std::unordered_map<StreamId, Bytes> next_offset_;  // expected seq. position
   StreamId current_stream_ = 0;

@@ -32,7 +32,7 @@ sim::Co<Errno> Client::unlink(std::string path) {
 }
 
 sim::Task Client::rpc(OstIndex ost, ObjectId object, Bytes object_offset,
-                      Bytes bytes, bool is_write, std::shared_ptr<IoState> state) {
+                      Bytes bytes, bool is_write, IoState* state) {
   // Async span per RPC on this client's track, issue -> completion; the
   // layers underneath (link flows, scheduler wait, disk service) emit
   // their own spans, so the lifecycle stages line up in the viewer.
@@ -116,25 +116,42 @@ sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_writ
   if (node.is_dir) co_return Errno::eisdir;
   PFSC_REQUIRE(!node.layout.osts.empty(), "io: file has no layout");
 
-  auto state = std::make_shared<IoState>();
+  IoState state;
+  const Bytes max_rpc = fs_->params().max_rpc_size;
+  segments(node.layout, offset, length, segments_);
+  std::size_t rpcs = 0;
+  for (const LayoutSegment& seg : segments_) {
+    rpcs += (seg.length + max_rpc - 1) / max_rpc;
+  }
+  // A lone RPC is awaited directly (the same single wakeup join_all would
+  // take); only a fan-out needs the task vector.
+  sim::Task only;
   std::vector<sim::Task> inflight;
-  for (const LayoutSegment& seg : segments(node.layout, offset, length)) {
+  if (rpcs > 1) inflight.reserve(rpcs);
+  for (const LayoutSegment& seg : segments_) {
     // Split each per-object run into bulk RPCs of at most max_rpc_size.
     Bytes done = 0;
     while (done < seg.length) {
-      const Bytes chunk =
-          std::min<Bytes>(fs_->params().max_rpc_size, seg.length - done);
+      const Bytes chunk = std::min<Bytes>(max_rpc, seg.length - done);
       sim::Task t = rpc(node.layout.osts[seg.layout_index],
                         node.layout.objects[seg.layout_index],
-                        seg.object_offset + done, chunk, is_write, state);
+                        seg.object_offset + done, chunk, is_write, &state);
       eng_->spawn(t);
-      inflight.push_back(std::move(t));
+      if (rpcs == 1) {
+        only = std::move(t);
+      } else {
+        inflight.push_back(std::move(t));
+      }
       done += chunk;
     }
   }
-  co_await sim::join_all(std::move(inflight));
+  if (rpcs == 1) {
+    co_await only;
+  } else {
+    co_await sim::join_all(std::move(inflight));
+  }
 
-  if (state->err != Errno::ok) co_return state->err;
+  if (state.err != Errno::ok) co_return state.err;
   if (is_write) {
     node.written.insert(offset, length);
     node.size = std::max(node.size, offset + length);

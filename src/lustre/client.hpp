@@ -69,13 +69,15 @@ class Client {
   const sim::LinkModel& proc_pipe() const { return *proc_pipe_; }
 
  private:
+  /// First error of one io() call's RPCs. It lives in io()'s frame: io
+  /// joins every RPC it spawned before it returns or rethrows.
   struct IoState {
     Errno err = Errno::ok;
   };
 
   sim::Co<Errno> io(InodeId file, Bytes offset, Bytes length, bool is_write);
   sim::Task rpc(OstIndex ost, ObjectId object, Bytes object_offset, Bytes bytes,
-                bool is_write, std::shared_ptr<IoState> state);
+                bool is_write, IoState* state);
   sim::Task drain_buffered(InodeId file, Bytes offset, Bytes length);
 
   FileSystem* fs_;
@@ -86,6 +88,9 @@ class Client {
   std::unique_ptr<sim::LinkModel> proc_pipe_;
   sim::LinkModel* node_nic_;
   sim::Resource rpc_slots_;
+  // io()'s stripe decomposition, reused across calls: filled and consumed
+  // with no suspension in between, so concurrent io() calls never share it.
+  std::vector<LayoutSegment> segments_;
   sched::JobId job_ = sched::kDefaultJob;
   Bytes bytes_written_ = 0;
   Bytes bytes_read_ = 0;

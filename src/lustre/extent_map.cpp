@@ -8,24 +8,40 @@ namespace pfsc::lustre {
 
 void ExtentMap::insert(Bytes offset, Bytes length) {
   if (length == 0) return;
-  Bytes start = offset;
-  Bytes end = offset + length;
+  const Bytes start = offset;
+  const Bytes end = offset + length;
 
-  // Find the first extent that could touch [start, end): the one before
-  // `start` (if it reaches start) or the first one starting within range.
+  // The extent that will hold the union: the one before `start` when it
+  // reaches start, else the first one starting within [start, end]. It
+  // grows in place; a node is allocated only for a disjoint extent.
   auto it = extents_.upper_bound(start);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) it = prev;
+  if (it != extents_.begin() && std::prev(it)->second >= start) {
+    it = std::prev(it);
+  } else if (it == extents_.end() || it->first > end) {
+    extents_.emplace_hint(it, start, end);
+    total_ += length;
+    return;
+  } else {
+    // The first touching extent starts right of `start`: re-key its node
+    // leftwards (no extent starts in [start, it->first), so the key stays
+    // unique and the order intact).
+    const auto next = std::next(it);
+    auto node = extents_.extract(it);
+    total_ += node.key() - start;  // it now also covers [start, old key)
+    node.key() = start;
+    it = extents_.insert(next, std::move(node));
   }
-  while (it != extents_.end() && it->first <= end) {
-    start = std::min(start, it->first);
-    end = std::max(end, it->second);
-    total_ -= it->second - it->first;
-    it = extents_.erase(it);
+
+  // Swallow every later extent that the grown one now reaches.
+  Bytes new_end = std::max(it->second, end);
+  for (auto next = std::next(it);
+       next != extents_.end() && next->first <= new_end;
+       next = extents_.erase(next)) {
+    new_end = std::max(new_end, next->second);
+    total_ -= next->second - next->first;
   }
-  extents_.emplace(start, end);
-  total_ += end - start;
+  total_ += new_end - it->second;
+  it->second = new_end;
 }
 
 bool ExtentMap::covers(Bytes offset, Bytes length) const {

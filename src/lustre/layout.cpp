@@ -20,9 +20,9 @@ LayoutSegment locate(const StripeLayout& layout, Bytes offset) {
   return seg;
 }
 
-std::vector<LayoutSegment> segments(const StripeLayout& layout, Bytes offset,
-                                    Bytes length) {
-  std::vector<LayoutSegment> out;
+void segments(const StripeLayout& layout, Bytes offset, Bytes length,
+              std::vector<LayoutSegment>& out) {
+  out.clear();
   Bytes pos = offset;
   Bytes remaining = length;
   while (remaining > 0) {
@@ -39,7 +39,6 @@ std::vector<LayoutSegment> segments(const StripeLayout& layout, Bytes offset,
       out.push_back(seg);
     }
   }
-  return out;
 }
 
 }  // namespace pfsc::lustre

@@ -4,7 +4,8 @@
 // stripe index k = f / S; stripe k lives on object o_{k mod c} at object
 // offset (k / c) * S + (f mod S). `segments()` decomposes an arbitrary
 // extent into maximal per-object contiguous runs, the unit from which the
-// client builds bulk RPCs.
+// client builds bulk RPCs; it fills caller-owned storage so that a caller
+// reusing one vector decomposes extents without allocating.
 #pragma once
 
 #include <cstdint>
@@ -108,9 +109,10 @@ struct LayoutSegment {
 };
 
 /// Decompose file extent [offset, offset+length) into per-object runs,
-/// in file-offset order. Runs never cross a stripe boundary.
-std::vector<LayoutSegment> segments(const StripeLayout& layout, Bytes offset,
-                                    Bytes length);
+/// in file-offset order, replacing the contents of `out`. Runs never cross
+/// a stripe boundary.
+void segments(const StripeLayout& layout, Bytes offset, Bytes length,
+              std::vector<LayoutSegment>& out);
 
 /// Map a single file offset to its location (layout index, object offset).
 LayoutSegment locate(const StripeLayout& layout, Bytes offset);

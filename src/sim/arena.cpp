@@ -1,11 +1,42 @@
 #include "sim/arena.hpp"
 
-#include <cstdlib>
+#if defined(__SANITIZE_ADDRESS__)
+#define PFSC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PFSC_ASAN 1
+#endif
+#endif
+
+#ifdef PFSC_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace pfsc::sim {
 
 namespace {
 thread_local FrameArena* t_current_arena = nullptr;
+
+// Pooled frames are invisible to AddressSanitizer's allocator, so the
+// arena marks what it holds itself: free-list frames and the uncarved
+// slab tail are poisoned, handed-out frames are not.
+void poison(void* p, std::size_t bytes) noexcept {
+#ifdef PFSC_ASAN
+  ASAN_POISON_MEMORY_REGION(p, bytes);
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
+void unpoison(void* p, std::size_t bytes) noexcept {
+#ifdef PFSC_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
 }  // namespace
 
 /// Prefix stored immediately ahead of every frame handed out by
@@ -18,12 +49,12 @@ struct alignas(16) FrameArena::Header {
 
 FrameArena::~FrameArena() {
   PFSC_ASSERT(outstanding_ == 0);
-  for (void* head : free_lists_) {
-    while (head != nullptr) {
-      void* next = *static_cast<void**>(head);
-      ::operator delete(head);
-      head = next;
-    }
+  // Every frame lives inside a slab, so freeing the slabs frees them all.
+  while (slabs_ != nullptr) {
+    unpoison(slabs_, kSlabBytes);
+    void* prev = *static_cast<void**>(slabs_);
+    ::operator delete(slabs_, std::align_val_t{kGranularity});
+    slabs_ = prev;
   }
 }
 
@@ -59,20 +90,37 @@ void FrameArena::deallocate_frame(void* frame) noexcept {
   header->arena->bucket_free(header);
 }
 
+void* FrameArena::carve(std::size_t block) {
+  if (static_cast<std::size_t>(slab_end_ - bump_) < block) {
+    // Start a new slab; the old one's uncarved tail stays poisoned and
+    // unused until teardown. The slab's first granule links the slabs.
+    void* slab = ::operator new(kSlabBytes, std::align_val_t{kGranularity});
+    *static_cast<void**>(slab) = slabs_;
+    slabs_ = slab;
+    bump_ = static_cast<char*>(slab) + kGranularity;
+    slab_end_ = static_cast<char*>(slab) + kSlabBytes;
+    poison(bump_, kSlabBytes - kGranularity);
+  }
+  char* block_start = bump_;
+  bump_ += block;
+  unpoison(block_start, block);
+  return block_start;
+}
+
 void* FrameArena::bucket_alloc(std::size_t size_class) {
   ++outstanding_;
+  const std::size_t block = (size_class + 1) * kGranularity;
   void*& head = free_lists_[size_class];
+  Header* header;
   if (head != nullptr) {
     ++reused_;
-    Header* header = static_cast<Header*>(head);
+    header = static_cast<Header*>(head);
+    unpoison(header, block);
     head = *reinterpret_cast<void**>(header);
-    header->arena = this;
-    header->size_class = size_class;
-    return header + 1;
+  } else {
+    ++fresh_;
+    header = static_cast<Header*>(carve(block));
   }
-  ++fresh_;
-  auto* header =
-      static_cast<Header*>(::operator new((size_class + 1) * kGranularity));
   header->arena = this;
   header->size_class = size_class;
   return header + 1;
@@ -81,10 +129,12 @@ void* FrameArena::bucket_alloc(std::size_t size_class) {
 void FrameArena::bucket_free(Header* header) noexcept {
   PFSC_ASSERT(outstanding_ > 0);
   --outstanding_;
-  void*& head = free_lists_[header->size_class];
+  const std::size_t size_class = header->size_class;
+  void*& head = free_lists_[size_class];
   // Reuse the header's own storage as the free-list link.
   *reinterpret_cast<void**>(header) = head;
   head = header;
+  poison(header, (size_class + 1) * kGranularity);
 }
 
 }  // namespace pfsc::sim

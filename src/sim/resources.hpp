@@ -4,15 +4,16 @@
 //  * Condition      — condition-variable-like signal (no latched state).
 //  * Resource       — counting semaphore with FIFO hand-off.
 //  * Barrier        — reusable N-party barrier (generation-counted).
+//  * WaiterRing     — the FIFO of parked coroutines behind Resource.
 //
 // The bandwidth servers built on these primitives (the basic building
 // blocks of the network model) live in sim/link.hpp as implementations of
 // the pluggable LinkModel interface.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -85,6 +86,45 @@ class Condition {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
+/// FIFO of parked coroutines on a power-of-two ring buffer that keeps its
+/// capacity: once it has held its high-water mark of waiters, pushes and
+/// pops never allocate (a std::deque allocates and frees a 512-byte chunk
+/// every 64 handles as the queue moves along it).
+class WaiterRing {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  void push_back(std::coroutine_handle<> h) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = h;
+    ++size_;
+  }
+
+  std::coroutine_handle<> pop_front() {
+    PFSC_ASSERT(size_ > 0);
+    const std::coroutine_handle<> h = slots_[head_];
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return h;
+  }
+
+ private:
+  void grow() {
+    std::vector<std::coroutine_handle<>> bigger(
+        std::max<std::size_t>(8, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    slots_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<std::coroutine_handle<>> slots_;  // size is a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Counting semaphore. release() hands the token directly to the oldest
 /// waiter, so admission is strictly FIFO (no barging).
 class Resource {
@@ -117,9 +157,8 @@ class Resource {
 
   void release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      eng_->schedule(h, eng_->now());  // token passes directly to the waiter
+      // The token passes directly to the oldest waiter.
+      eng_->schedule(waiters_.pop_front(), eng_->now());
     } else {
       PFSC_ASSERT(available_ < capacity_);
       ++available_;
@@ -130,7 +169,7 @@ class Resource {
   Engine* eng_;
   std::size_t capacity_;
   std::size_t available_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterRing waiters_;
 };
 
 /// Reusable barrier for `parties` processes.

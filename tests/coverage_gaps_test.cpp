@@ -58,7 +58,9 @@ TEST(LayoutLargeOffsets, NoOverflowAtTerabyteScale) {
   EXPECT_EQ(seg.object_offset, (stripe_idx / 160) * 128_MiB + 12345 % 128_MiB);
   // Segment decomposition at the same magnitude conserves bytes.
   Bytes total = 0;
-  for (const auto& piece : lustre::segments(layout, 4 * tb, 3u * 128_MiB + 7)) {
+  std::vector<lustre::LayoutSegment> pieces;
+  lustre::segments(layout, 4 * tb, 3u * 128_MiB + 7, pieces);
+  for (const auto& piece : pieces) {
     total += piece.length;
   }
   EXPECT_EQ(total, 3u * 128_MiB + 7);
@@ -303,8 +305,11 @@ TEST(AdmissionEdge, DetuneFallsBackToMinStripesFloor) {
   harness::AdmissionController ac(eng, cfg, hw::tiny_test_platform());
   // 16 plfs ranks saturate all 8 OSTs (D_load 4.0x), so no stripe count in
   // [4, 8] fits under 1.05: the detune scan must bottom out at the floor.
-  eng.spawn(admit_job(eng, ac, plfs_job(0, 0.0, 16), 2.0));
-  eng.spawn(admit_job(eng, ac, ior_job(1, 0.1, 8), 0.5));
+  // admit_job holds its spec by reference, so the specs outlive the run.
+  const harness::JobSpec first = plfs_job(0, 0.0, 16);
+  const harness::JobSpec second = ior_job(1, 0.1, 8);
+  eng.spawn(admit_job(eng, ac, first, 2.0));
+  eng.spawn(admit_job(eng, ac, second, 0.5));
   eng.run();
   ASSERT_EQ(ac.records().size(), 2u);
   const harness::AdmissionRecord& rec = ac.records()[1];
@@ -324,8 +329,11 @@ TEST(AdmissionEdge, TracedDelayEmitsWaitSpanAndCounters) {
   cfg.policy = harness::AdmissionPolicy::threshold;
   cfg.max_dload = 1.05;
   harness::AdmissionController ac(eng, cfg, hw::tiny_test_platform(), &rec);
-  eng.spawn(admit_job(eng, ac, ior_job(0, 0.0, 8), 1.0));
-  eng.spawn(admit_job(eng, ac, ior_job(1, 0.1, 8), 0.5));
+  // admit_job holds its spec by reference, so the specs outlive the run.
+  const harness::JobSpec first = ior_job(0, 0.0, 8);
+  const harness::JobSpec second = ior_job(1, 0.1, 8);
+  eng.spawn(admit_job(eng, ac, first, 1.0));
+  eng.spawn(admit_job(eng, ac, second, 0.5));
   eng.run();
   ASSERT_EQ(ac.records().size(), 2u);
   EXPECT_EQ(ac.records()[1].action, harness::AdmissionAction::delayed);

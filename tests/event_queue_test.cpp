@@ -14,6 +14,14 @@
 #include "sim/task.hpp"
 #include "support/rng.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PFSC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PFSC_TEST_ASAN 1
+#endif
+#endif
+
 namespace pfsc::sim {
 namespace {
 
@@ -327,6 +335,55 @@ TEST(FrameArenaTest, FramesWithoutAnEngineUseTheGlobalAllocator) {
   }  // destroyed unspawned: frame freed via the fallback path
   EXPECT_EQ(fired, 0);
 }
+
+TEST(FrameArenaTest, FreshFramesComeBackToBackFromSlabs) {
+  Engine eng;
+  const FrameArena& arena = eng.frame_arena();
+  // 3,000 frames of one size class span several 64 KiB slabs; each is a
+  // distinct fresh frame, and a freed one is the next frame handed out.
+  std::vector<char*> frames;
+  for (int i = 0; i < 3000; ++i) {
+    frames.push_back(static_cast<char*>(FrameArena::allocate_frame(100)));
+  }
+  EXPECT_EQ(arena.fresh_allocations(), 3000u);
+  EXPECT_EQ(arena.outstanding(), 3000u);
+  EXPECT_EQ(frames[1] - frames[0], 128);  // 16-byte header + 100 -> 128
+  std::vector<char*> sorted = frames;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  FrameArena::deallocate_frame(frames[7]);
+  EXPECT_EQ(FrameArena::allocate_frame(100), frames[7]);
+  EXPECT_EQ(arena.reused_allocations(), 1u);
+  for (char* f : frames) FrameArena::deallocate_frame(f);
+  EXPECT_EQ(arena.outstanding(), 0u);
+}
+
+#ifdef PFSC_TEST_ASAN
+// Pooled frames never reach the sanitizer's allocator, so the arena
+// poisons what it holds itself; these pin that a stale frame access is
+// still reported.
+TEST(FrameArenaAsanTest, ResumingAFinishedTaskIsReported) {
+  Engine eng;
+  int done = 0;
+  std::coroutine_handle<> stale;
+  {
+    Task t = tick_task(eng, &done);
+    stale = t.handle();
+    eng.spawn(t);
+    eng.run();
+  }  // last reference dropped: the frame goes back on a free list
+  EXPECT_EQ(done, 1);
+  EXPECT_DEATH(stale.resume(), "use-after-poison");
+}
+
+TEST(FrameArenaAsanTest, UncarvedSlabTailIsPoisoned) {
+  Engine eng;
+  auto* frame = static_cast<volatile char*>(FrameArena::allocate_frame(100));
+  frame[100 - 1] = 1;  // the frame itself is addressable
+  EXPECT_DEATH(frame[200] = 1, "use-after-poison");
+  FrameArena::deallocate_frame(const_cast<char*>(frame));
+}
+#endif
 
 TEST(FrameArenaTest, EnginesNestAndRestoreTheCurrentArena) {
   Engine outer;

@@ -50,7 +50,8 @@ TEST(Layout, SegmentsCoverExtentExactly) {
   const auto l = make_layout(3, 1_MiB);
   const Bytes off = 512_KiB;
   const Bytes len = 5 * 1_MiB;
-  const auto segs = segments(l, off, len);
+  std::vector<LayoutSegment> segs;
+  segments(l, off, len, segs);
   Bytes total = 0;
   Bytes expect_file_off = off;
   for (const auto& s : segs) {
@@ -63,7 +64,8 @@ TEST(Layout, SegmentsCoverExtentExactly) {
 
 TEST(Layout, SegmentsMatchLocatePointwise) {
   const auto l = make_layout(5, 256_KiB);
-  const auto segs = segments(l, 100'000, 3'000'000);
+  std::vector<LayoutSegment> segs;
+  segments(l, 100'000, 3'000'000, segs);
   for (const auto& s : segs) {
     const auto head = locate(l, s.file_offset);
     EXPECT_EQ(head.layout_index, s.layout_index);
@@ -77,7 +79,8 @@ TEST(Layout, SegmentsMatchLocatePointwise) {
 
 TEST(Layout, SingleStripeCountMergesIntoOneSegment) {
   const auto l = make_layout(1, 1_MiB);
-  const auto segs = segments(l, 0, 10 * 1_MiB);
+  std::vector<LayoutSegment> segs;
+  segments(l, 0, 10 * 1_MiB, segs);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].length, 10 * 1_MiB);
   EXPECT_EQ(segs[0].object_offset, 0u);
@@ -85,12 +88,29 @@ TEST(Layout, SingleStripeCountMergesIntoOneSegment) {
 
 TEST(Layout, ZeroLengthYieldsNoSegments) {
   const auto l = make_layout(2, 1_MiB);
-  EXPECT_TRUE(segments(l, 4_MiB, 0).empty());
+  std::vector<LayoutSegment> segs;
+  segments(l, 4_MiB, 0, segs);
+  EXPECT_TRUE(segs.empty());
+}
+
+TEST(Layout, SegmentsReplaceTheCallersContents) {
+  // A caller reuses one vector across extents: each call starts afresh.
+  const auto l = make_layout(4, 1_MiB);
+  std::vector<LayoutSegment> segs;
+  segments(l, 0, 3 * 1_MiB, segs);
+  ASSERT_EQ(segs.size(), 3u);
+  segments(l, 1_MiB, 1_MiB, segs);
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_EQ(segs[0].layout_index, 1u);
+  EXPECT_EQ(segs[0].file_offset, 1_MiB);
+  segments(l, 0, 0, segs);
+  EXPECT_TRUE(segs.empty());
 }
 
 TEST(Layout, LargeStripesSmallWrite) {
   const auto l = make_layout(160, 128_MiB);
-  const auto segs = segments(l, 200_MiB, 1_MiB);
+  std::vector<LayoutSegment> segs;
+  segments(l, 200_MiB, 1_MiB, segs);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].layout_index, 1u);          // second stripe
   EXPECT_EQ(segs[0].object_offset, 72_MiB);     // 200 - 128

@@ -2,6 +2,8 @@
 // ordering, degenerate synchronisation shapes, and engine statistics.
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -113,6 +115,55 @@ TEST(Degenerate, JoinAllOfNothing) {
   }(done));
   eng.run();
   EXPECT_TRUE(done);
+}
+
+TEST(Degenerate, JoinAllJoinsEveryTaskBeforeRethrowing) {
+  // The first task fails at t=1; join_all still waits for the second (t=2)
+  // before rethrowing, so no task outlives the awaiter's frame.
+  Engine eng;
+  bool late_done = false;
+  Seconds caught_at = -1.0;
+  Task failing = [](Engine& e) -> Task {
+    co_await e.delay(1.0);
+    throw SimulationError("rpc failed");
+  }(eng);
+  Task late = [](Engine& e, bool& flag) -> Task {
+    co_await e.delay(2.0);
+    flag = true;
+  }(eng, late_done);
+  eng.spawn(failing);
+  eng.spawn(late);
+  eng.spawn([](Engine& e, std::vector<Task> tasks, Seconds& at) -> Task {
+    try {
+      co_await join_all(std::move(tasks));
+    } catch (const SimulationError&) {
+      at = e.now();
+    }
+  }(eng, {failing, late}, caught_at));
+  eng.run();
+  EXPECT_TRUE(late_done);
+  EXPECT_DOUBLE_EQ(caught_at, 2.0);
+}
+
+TEST(WaiterRingTest, StaysFifoAcrossWrapAndGrowth) {
+  const auto handle = [](std::uintptr_t i) {
+    return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(i));
+  };
+  WaiterRing ring;
+  std::uintptr_t next_in = 1;
+  std::uintptr_t next_out = 1;
+  // Interleave pushes and pops so the ring wraps before each growth.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) ring.push_back(handle(next_in++));
+    for (int i = 0; i < 3 + 4 * round; ++i) {
+      ASSERT_EQ(ring.pop_front().address(), handle(next_out++).address());
+    }
+  }
+  EXPECT_EQ(ring.size(), next_in - next_out);
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.pop_front().address(), handle(next_out++).address());
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(EngineStats, CountsAndClockAdvance) {
