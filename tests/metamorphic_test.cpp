@@ -10,6 +10,7 @@
 //    exactly according to a last-writer-wins reference model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "harness/scenario.hpp"
@@ -24,11 +25,16 @@ using lustre::Errno;
 // Transport equivalence.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after a byte dump of its parameter, so the padding
+// between the flags and the window is an explicit, zeroed member: left
+// implicit, it held whatever was on the stack and the names changed per run.
 struct PathVariant {
   bool collective;
   bool cb;
+  std::uint8_t pad[6];
   Bytes dirty_window;
 };
+static_assert(sizeof(PathVariant) == 16, "PathVariant must have no padding");
 
 class TransportEquivalence : public ::testing::TestWithParam<PathVariant> {};
 
@@ -70,10 +76,10 @@ TEST_P(TransportEquivalence, SameFinalCoverage) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, TransportEquivalence,
-    ::testing::Values(PathVariant{true, true, 256_MiB},   // two-phase + async
-                      PathVariant{true, true, 0},         // two-phase sync
-                      PathVariant{true, false, 256_MiB},  // collective, no cb
-                      PathVariant{false, true, 256_MiB}   // independent
+    ::testing::Values(PathVariant{true, true, {}, 256_MiB},   // two-phase + async
+                      PathVariant{true, true, {}, 0},         // two-phase sync
+                      PathVariant{true, false, {}, 256_MiB},  // collective, no cb
+                      PathVariant{false, true, {}, 256_MiB}   // independent
                       ));
 
 // ---------------------------------------------------------------------------
