@@ -21,10 +21,12 @@ namespace {
 
 void ablation_alloc_policy() {
   std::printf("A. OST allocation policy (4 jobs x 256 procs, R=64)\n");
-  for (auto policy : {lustre::AllocPolicy::uniform_random,
-                      lustre::AllocPolicy::round_robin}) {
+  for (auto policy : {lustre::PlacementKind::uniform_random,
+                      lustre::PlacementKind::round_robin}) {
     sim::Engine eng;
-    lustre::FileSystem fs(eng, hw::cab_lscratchc(), 11, policy);
+    hw::PlatformParams platform = hw::cab_lscratchc();
+    platform.ost_placement = policy;
+    lustre::FileSystem fs(eng, platform, 11);
     mpi::Runtime rt(fs, 4 * 256, 16);
     // Four jobs each create a file with R=64; no data needed for the census.
     std::vector<lustre::InodeId> files;
@@ -41,10 +43,8 @@ void ablation_alloc_policy() {
     const auto obs = core::observe(fs.ost_occupancy(files));
     std::printf("   %-15s Dinuse %5.0f  Dload %.3f  (Eq.2 predicts %.1f/%.2f "
                 "for random)\n",
-                policy == lustre::AllocPolicy::uniform_random ? "uniform_random"
-                                                              : "round_robin",
-                obs.d_inuse, obs.d_load, core::d_inuse_uniform(64, 4, 480),
-                core::d_load(64, 4, 480));
+                lustre::placement_kind_name(policy), obs.d_inuse, obs.d_load,
+                core::d_inuse_uniform(64, 4, 480), core::d_load(64, 4, 480));
   }
   std::printf("   -> round-robin eliminates collisions entirely; the paper's\n"
               "      binomial statistics require the random policy.\n\n");

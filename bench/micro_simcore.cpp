@@ -11,7 +11,6 @@
 #include "hw/disk.hpp"
 #include "lustre/extent_map.hpp"
 #include "mpiio/two_phase.hpp"
-#include "sim/domain.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
@@ -51,11 +50,11 @@ void BM_EventQueueHold(benchmark::State& state, sim::EventQueuePolicy policy) {
   Rng rng(0xB0DE);
   std::uint64_t seq = 1;
   for (int i = 0; i < population; ++i) {
-    q->push({rng.uniform_double(0.0, 1.0), 0.0, seq++, std::noop_coroutine()});
+    q->push({rng.uniform_double(0.0, 1.0), seq++, std::noop_coroutine()});
   }
   for (auto _ : state) {
     const sim::ScheduledEvent ev = q->pop();
-    q->push({ev.t + rng.uniform_double(0.0, 1.0), ev.t, seq++,
+    q->push({ev.t + rng.uniform_double(0.0, 1.0), seq++,
              std::noop_coroutine()});
     benchmark::DoNotOptimize(seq);
   }
@@ -182,66 +181,9 @@ BENCHMARK_CAPTURE(BM_AdaptiveQuartet, ctrl_pfl, ctrl::CtrlMode::pfl)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// The same four-job Fig. 3 contention run, partitioned across simulation
-// domains (1 = the classic single engine; 4 and 8 shard the 32 OSS across
-// worker threads under conservative lookahead). Results are bit-identical
-// at every domain count, so items_per_second ratios between captures read
-// directly as the parallel speedup. Gated in bench-baseline.json with
-// min_cpus guards: the ratio is only meaningful when the host actually
-// has cores for the domain workers.
-void BM_ShardedFig3(benchmark::State& state, std::uint32_t domains) {
-  harness::Scenario s = harness::Scenario::multi(4, 1024);
-  s.ior.hints.driver = mpiio::Driver::ad_lustre;
-  s.ior.hints.striping_factor = 160;
-  s.ior.hints.striping_unit = 128_MiB;
-  s.platform.sim_domains = domains;
-  for (auto _ : state) {
-    const auto obs = harness::run_scenario(s, 0xF3F3);
-    benchmark::DoNotOptimize(obs.total_mbps);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK_CAPTURE(BM_ShardedFig3, domains_1, 1u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_ShardedFig3, domains_4, 4u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_ShardedFig3, domains_8, 8u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// Oversubscription gate: the same contention workload at MORE domains
-// than the host has cores (2x hardware_threads, clamped by the shard
-// count), against the single-engine capture. With the spin-only barrier
-// this regime collapsed ~150x (a spinner burns the quantum the peer
-// needs); the hybrid spin-then-park barrier must keep it within 3x —
-// the ratio gate in bench-baseline.json carries no min_cpus because the
-// capture is oversubscribed on every host by construction.
-void BM_ShardedOversubscribed(benchmark::State& state, bool oversub) {
-  harness::Scenario s = harness::Scenario::multi(4, 256);
-  s.ior.segment_count = 2;
-  s.ior.hints.driver = mpiio::Driver::ad_lustre;
-  s.ior.hints.striping_factor = 16;
-  s.ior.hints.striping_unit = 4_MiB;
-  s.platform.sim_domains = oversub ? 2 * sim::hardware_threads() : 1;
-  for (auto _ : state) {
-    const auto obs = harness::run_scenario(s, 0x05B5);
-    benchmark::DoNotOptimize(obs.total_mbps);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK_CAPTURE(BM_ShardedOversubscribed, domains_1, false)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_ShardedOversubscribed, domains_2x_cores, true)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 // Capability run: one 4,096-rank job striped wide over the full lscratchc
-// system (480 OSTs / 32 OSS). This is the scale target the sharded engine
-// exists for; domains = 0 resolves to one domain per hardware thread.
-void BM_Lscratchc4096(benchmark::State& state, std::uint32_t domains) {
+// system (480 OSTs / 32 OSS), the paper's largest single-job scale.
+void BM_Lscratchc4096(benchmark::State& state) {
   harness::Scenario s;
   s.nprocs = 4096;
   s.procs_per_node = 16;
@@ -249,22 +191,13 @@ void BM_Lscratchc4096(benchmark::State& state, std::uint32_t domains) {
   s.ior.hints.driver = mpiio::Driver::ad_lustre;
   s.ior.hints.striping_factor = 160;
   s.ior.hints.striping_unit = 64_MiB;
-  s.platform.sim_domains = domains;
   for (auto _ : state) {
     const auto obs = harness::run_scenario(s, 0x4096);
     benchmark::DoNotOptimize(obs.total_mbps);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_Lscratchc4096, domains_1, 1u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Lscratchc4096, domains_4, 4u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Lscratchc4096, domains_auto, 0u)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+BENCHMARK(BM_Lscratchc4096)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 sim::Task spawn_fanout(sim::Engine& eng, int width) {
   std::vector<sim::Task> children;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 #include "mpiio/info.hpp"
 
@@ -15,12 +16,17 @@ namespace {
                    std::string(text) + "'");
 }
 
+/// Parse all of `text` as a T. A well-formed number that does not fit T
+/// is rejected as out of range, never narrowed.
 template <typename T>
 T parse_number(std::string_view flag, std::string_view text, const char* what) {
   T value{};
   const char* first = text.data();
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range && ptr == last) {
+    bad_value(flag, text, "value out of range");
+  }
   if (ec != std::errc{} || ptr != last || text.empty()) {
     bad_value(flag, text, what);
   }
@@ -126,7 +132,11 @@ Bytes parse_bytes(std::string_view flag, std::string_view text) {
       bad_value(flag, text, "unknown byte-size suffix");
     }
   }
-  return parse_number<Bytes>(flag, digits, "expected a byte size") * multiplier;
+  const Bytes count = parse_number<Bytes>(flag, digits, "expected a byte size");
+  if (count > std::numeric_limits<Bytes>::max() / multiplier) {
+    bad_value(flag, text, "value out of range");
+  }
+  return count * multiplier;
 }
 
 Flag& FlagTable::add(std::string name, std::string value_name, std::string help,
@@ -147,7 +157,7 @@ Flag& FlagTable::bind(std::string name, int& target, std::string help) {
   const std::string flag = name;
   return add(std::move(name), "N", std::move(help),
              [flag, &target](std::string_view text) {
-               target = static_cast<int>(parse_int(flag, text));
+               target = parse_number<int>(flag, text, "expected an integer");
              });
 }
 
@@ -155,7 +165,8 @@ Flag& FlagTable::bind(std::string name, unsigned& target, std::string help) {
   const std::string flag = name;
   return add(std::move(name), "N", std::move(help),
              [flag, &target](std::string_view text) {
-               target = static_cast<unsigned>(parse_uint(flag, text));
+               target = parse_number<unsigned>(
+                   flag, text, "expected a non-negative integer");
              });
 }
 
@@ -320,18 +331,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
                   parse_event_queue_policy("--event_queue", text);
             });
   table.alias("--event-queue");
-  table.add("--sim_domains", "N",
-            "simulation domains per run: 1 = one engine thread, N >= 2 "
-            "shards the OSS across N-1 worker threads, 0 = auto (one per "
-            "hardware thread); results are bit-identical at any value",
-            [&scenario](std::string_view text) {
-              const std::uint64_t v = parse_uint("--sim_domains", text);
-              if (v > 0xFFFFFFFFull) {
-                throw UsageError("--sim_domains: value out of range");
-              }
-              scenario.platform.sim_domains = static_cast<std::uint32_t>(v);
-            });
-  table.alias("--sim-domains");
   // Degenerate SchedTuning values are rejected right here so the error
   // names the flag (Scenario::validate would only name the field).
   table.add("--sched_quantum", "BYTES",
@@ -406,8 +405,8 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   // RunPlan fields.
   table.add("--repetitions", "N", "repetitions per plan point",
             [&plan](std::string_view text) {
-              plan.repetitions(
-                  static_cast<unsigned>(parse_uint("--repetitions", text)));
+              plan.repetitions(parse_number<unsigned>(
+                  "--repetitions", text, "expected a non-negative integer"));
             });
   table.alias("--reps");
   table.add("--base_seed", "N", "base seed for per-repetition seed derivation",

@@ -27,13 +27,11 @@ struct PointResult {
   ConfidenceInterval ci;           // 95% Student-t over samples
 };
 
-/// How a RunSet was executed: worker threads the runner actually spawned,
-/// engine threads inside each run (sharded domains), and the hardware
-/// thread count that bounded the product. Pure provenance — never feeds
+/// How a RunSet was executed: worker threads the runner actually spawned
+/// and the host's hardware thread count. Pure provenance — never feeds
 /// back into results, which are thread-count-independent by construction.
 struct RunProvenance {
   unsigned rep_threads = 1;
-  unsigned domain_threads = 1;
   unsigned hardware_threads = 1;
 };
 
@@ -69,18 +67,16 @@ class RunSet {
 
 class ParallelRunner {
  public:
-  /// threads == 0: use the hardware thread count, resolved once per
-  /// process (sim::hardware_threads()).
+  /// threads == 0: use the hardware thread count
+  /// (std::thread::hardware_concurrency(), at least 1).
   explicit ParallelRunner(unsigned threads = 0);
 
   unsigned threads() const { return threads_; }
 
   /// Expand the plan over `base` and run every (point, repetition) task.
   /// Throws the first task exception after all workers stop; partial
-  /// results are discarded. When the base scenario runs sharded, the
-  /// worker pool is clamped so rep-threads x domain-threads stays within
-  /// the hardware thread budget; the effective counts are recorded in the
-  /// RunSet's provenance.
+  /// results are discarded. The pool never exceeds the task count; the
+  /// effective count is recorded in the RunSet's provenance.
   RunSet run(const Scenario& base, const RunPlan& plan) const;
 
  private:

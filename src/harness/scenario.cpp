@@ -7,7 +7,6 @@
 #include <string>
 
 #include "plfs/plfs.hpp"
-#include "sim/domain.hpp"
 #include "trace/export.hpp"
 
 namespace pfsc::harness {
@@ -286,35 +285,12 @@ void spawn_noise_job(lustre::FileSystem& fs,
       settings, job.bytes, job.transfer_size, job.arrival));
 }
 
-/// A sharded run's domain set, or nullptr for the single-engine path.
-/// Sharding engages only when it is requested (resolved sim_domains >= 2),
-/// the model has a lookahead to shard under (rpc_latency > 0), and no
-/// periodic sampler or adaptive controller is attached — both read (the
-/// controller also writes) server-side state from domain 0 mid-run, which
-/// would race with the owning domains. The fallback is silent and safe:
-/// results are bit-for-bit identical either way, only wall-clock time
-/// differs.
-std::unique_ptr<sim::ShardSet> make_shards(const Scenario& s) {
-  const std::size_t domains =
-      sim::resolve_domains(s.platform.sim_domains, s.platform.oss_count);
-  if (domains < 2) return nullptr;
-  if (s.telemetry_interval > 0.0 || s.trace.interval > 0.0) return nullptr;
-  if (s.ctrl.mode != ctrl::CtrlMode::off) return nullptr;
-  if (s.platform.rpc_latency <= 0.0) return nullptr;
-  return std::make_unique<sim::ShardSet>(domains, s.platform.rpc_latency,
-                                         s.platform.event_queue);
-}
-
-/// Shared run state every workload branch builds: fresh engine (or domain
-/// set), seeded file system, runtime, background noise jobs, optional
-/// telemetry sampler, optional event recorder (one per domain when
-/// sharded; + trace sampler mirroring into it).
+/// Shared run state every workload branch builds: fresh engine, seeded
+/// file system, runtime, background noise jobs, optional telemetry
+/// sampler, optional event recorder (+ trace sampler mirroring into it).
 struct Rig {
-  std::unique_ptr<sim::ShardSet> shards;  // sharded runs only
-  std::unique_ptr<sim::Engine> solo;      // single-engine runs only
-  sim::Engine& eng;                       // domain 0's engine either way
-  std::vector<std::unique_ptr<trace::Recorder>> recorders;  // one per domain
-  trace::Recorder* recorder = nullptr;    // domain 0's recorder
+  sim::Engine eng;
+  std::unique_ptr<trace::Recorder> recorder;  // scenario.trace.mode != off
   lustre::FileSystem fs;
   mpi::Runtime rt;
   std::vector<std::unique_ptr<lustre::Client>> noise_clients;
@@ -324,21 +300,12 @@ struct Rig {
 
   Rig(const Scenario& s, int nprocs, std::uint64_t seed,
       const std::vector<const JobSpec*>& noise_jobs)
-      : shards(make_shards(s)),
-        solo(shards ? nullptr
-                    : std::make_unique<sim::Engine>(s.platform.event_queue)),
-        eng(shards ? shards->domain(0) : *solo),
-        fs(eng, s.platform, seed, lustre::AllocPolicy::uniform_random,
-           shards.get()),
+      : eng(s.platform.event_queue),
+        fs(eng, s.platform, seed),
         rt(fs, nprocs, s.procs_per_node) {
     if (s.trace.mode != trace::TraceMode::off) {
-      const std::size_t domains = shards ? shards->domains() : 1;
-      recorders.reserve(domains);
-      for (std::size_t d = 0; d < domains; ++d) {
-        recorders.push_back(std::make_unique<trace::Recorder>(s.trace));
-        (shards ? shards->domain(d) : eng).set_recorder(recorders.back().get());
-      }
-      recorder = recorders.front().get();
+      recorder = std::make_unique<trace::Recorder>(s.trace);
+      eng.set_recorder(recorder.get());
     }
     for (const JobSpec* job : noise_jobs) {
       spawn_noise_job(fs, noise_clients, *job, seed);
@@ -350,7 +317,8 @@ struct Rig {
     // `off` builds no controller at all: zero engine events, goldens
     // bit-for-bit (the same null pattern as admission control).
     if (s.ctrl.mode != ctrl::CtrlMode::off) {
-      controller = std::make_unique<ctrl::Controller>(eng, s.ctrl, fs, recorder);
+      controller =
+          std::make_unique<ctrl::Controller>(eng, s.ctrl, fs, recorder.get());
     }
     if (recorder && s.trace.interval > 0.0) {
       trace_sampler = std::make_unique<trace::Sampler>(eng, s.trace.interval);
@@ -360,15 +328,6 @@ struct Rig {
       trace_sampler->add_instruments(trace::total_bytes_instruments(fs),
                                      fs.liveness());
     }
-  }
-
-  /// The per-domain recorders as the merged exporters want them (a single
-  /// recorder for unsharded runs).
-  std::vector<const trace::Recorder*> recorder_views() const {
-    std::vector<const trace::Recorder*> recs;
-    recs.reserve(recorders.size());
-    for (const auto& r : recorders) recs.push_back(r.get());
-    return recs;
   }
 
   /// Start sampling, stopping once `done()` first returns true (so the
@@ -403,19 +362,18 @@ struct Rig {
   /// Roll the recorder up into the observation and write --trace_out.
   /// Called after the run drains, from every workload branch.
   void finish_trace(Observation& obs, const Scenario& s, std::uint64_t seed) {
-    if (recorder == nullptr) return;
+    if (!recorder) return;
     obs.traced = true;
-    const std::vector<const trace::Recorder*> recs = recorder_views();
-    obs.trace_summary = trace::collect_summary(fs, recs);
+    obs.trace_summary = trace::collect_summary(fs, recorder.get());
     if (s.trace.mode == trace::TraceMode::full) {
-      obs.trace_json = trace::export_chrome_trace(recs);
+      obs.trace_json = trace::export_chrome_trace(*recorder);
     }
     if (s.trace.out.empty()) return;
     const std::string path = trace::resolve_trace_path(s.trace.out, seed);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     PFSC_REQUIRE(out.good(), "trace: cannot open --trace_out path " + path);
     if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-      out << trace::export_counters_csv(recs);
+      out << trace::export_counters_csv(*recorder);
     } else if (s.trace.mode == trace::TraceMode::full) {
       out << obs.trace_json;
     } else {
@@ -671,8 +629,8 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   // admission hook a single test and the event sequences untouched.
   std::unique_ptr<AdmissionController> admission;
   if (s.admission.policy != AdmissionPolicy::always) {
-    admission = std::make_unique<AdmissionController>(rig.eng, s.admission,
-                                                      s.platform, rig.recorder);
+    admission = std::make_unique<AdmissionController>(
+        rig.eng, s.admission, s.platform, rig.recorder.get());
   }
 
   std::vector<JobSlot> slots(plan.rank_jobs.size());
@@ -933,19 +891,6 @@ Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   obs.seed = seed;
   if (obs.jobs.empty()) obs.jobs = s.jobs_desugared();
   return obs;
-}
-
-std::size_t scenario_domain_threads(const Scenario& scenario) {
-  // Mirrors make_shards' eligibility exactly: any condition that makes it
-  // return nullptr means the run occupies a single thread.
-  if (scenario.telemetry_interval > 0.0 || scenario.trace.interval > 0.0) {
-    return 1;
-  }
-  if (scenario.ctrl.mode != ctrl::CtrlMode::off) return 1;
-  if (scenario.platform.rpc_latency <= 0.0) return 1;
-  const std::size_t domains = sim::resolve_domains(
-      scenario.platform.sim_domains, scenario.platform.oss_count);
-  return domains < 2 ? 1 : domains;
 }
 
 }  // namespace pfsc::harness

@@ -163,9 +163,7 @@ struct Scenario {
 
   /// Online adaptive tuning (ctrl/controller.hpp). The default mode `off`
   /// is bit-for-bit invisible: no Controller is constructed and zero
-  /// engine events are added. Any active mode forces the single-engine
-  /// fallback (like periodic telemetry) so reports stay byte-identical at
-  /// any --sim_domains/--threads.
+  /// engine events are added.
   ctrl::CtrlConfig ctrl;
 
   /// > 0: attach a telemetry sampler at this interval and return the
@@ -263,12 +261,5 @@ struct Observation {
 
 /// Run one scenario to completion on a fresh deterministic simulation.
 Observation run_scenario(const Scenario& scenario, std::uint64_t seed);
-
-/// Engine threads one run of `scenario` will occupy: the resolved domain
-/// count when the sharded engine engages, 1 when the run falls back to a
-/// single engine (domains < 2, no lookahead, or a periodic sampler is
-/// attached). ParallelRunner divides its core budget by this so that
-/// repetition workers times domain workers never oversubscribe the host.
-std::size_t scenario_domain_threads(const Scenario& scenario);
 
 }  // namespace pfsc::harness

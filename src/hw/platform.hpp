@@ -70,7 +70,7 @@ struct PlatformParams {
   /// paper's lscratchc behaviour (the default, pinned bit-for-bit by the
   /// golden tests); `load_aware`/`node_affine` act on the contention model
   /// by spreading live per-OST demand. See lustre/placement.hpp and
-  /// DESIGN.md §13.
+  /// DESIGN.md §12.
   lustre::PlacementKind ost_placement = lustre::PlacementKind::uniform_random;
 
   // -- servers -----------------------------------------------------------
@@ -101,14 +101,6 @@ struct PlatformParams {
   /// Page-cache write-back budget per client process: buffered writes
   /// return once accepted, with up to this many bytes still in flight.
   Bytes client_writeback_bytes = 32_MiB;
-
-  // -- execution ----------------------------------------------------------
-  /// Simulation domains (worker threads) for sharded runs: clients plus
-  /// per-OSS shards synchronised by conservative lookahead (DESIGN.md §12).
-  /// 1 = single engine (the default), 0 = auto (one per hardware thread),
-  /// both clamped to 1 + oss_count. Results are bit-for-bit identical at
-  /// any value; this knob only trades threads for wall-clock time.
-  std::uint32_t sim_domains = 1;
 
   std::uint32_t total_cores() const { return nodes * cores_per_node; }
 };

@@ -65,9 +65,8 @@ sim::Task Client::rpc(OstIndex ost, ObjectId object, Bytes object_offset,
   co_await proc_pipe_->transfer(bytes);
   if (node_nic_ != nullptr) co_await node_nic_->transfer(bytes);
   co_await fs_->fabric().transfer(bytes);
-  // The server half — request hop, scheduler admission, OSS pipe, disk
-  // service, reply hop — lives in the FileSystem so sharded runs can
-  // execute it on the OSS's own domain.
+  // The server half: request hop, scheduler admission, OSS pipe, disk
+  // service, reply hop.
   co_await fs_->oss_round_trip(job_, ost, object, object_offset, bytes,
                                is_write);
   if (fs_->ost_failed(ost) && state->err == Errno::ok) state->err = Errno::eio;

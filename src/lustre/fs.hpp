@@ -8,9 +8,10 @@
 //
 // OST assignment follows the paper's description of lscratchc: "targets
 // assigned at random (based on current usage, to maintain an approximately
-// even capacity)". AllocPolicy::uniform_random reproduces that (and the
-// binomial occupancy statistics of Eq. 1-6); round_robin exists as an
-// ablation.
+// even capacity)". PlacementKind::uniform_random (placement.hpp), the
+// default params.ost_placement, reproduces that (and the binomial
+// occupancy statistics of Eq. 1-6); the other placement kinds exist as
+// ablations.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +36,6 @@
 #include "sim/task.hpp"
 #include "support/rng.hpp"
 
-namespace pfsc::sim {
-class ShardSet;
-struct Message;
-}  // namespace pfsc::sim
-
 namespace pfsc::lustre {
 
 using InodeId = std::uint64_t;
@@ -63,26 +59,9 @@ struct Inode {
   bool has_dir_default = false;
 };
 
-/// Legacy allocator selector, kept for source compatibility: it maps onto
-/// lustre::PlacementKind (placement.hpp), which is the full policy surface
-/// (params.ost_placement). A non-default `ost_placement` wins over the
-/// ctor argument.
-enum class AllocPolicy {
-  uniform_random,  // paper's lscratchc behaviour
-  round_robin,     // ablation: perfectly even assignment
-};
-
 class FileSystem {
  public:
-  /// `shards` (optional) shards the server side of the model: domain 0
-  /// keeps the clients, MDS and fabric (`eng` must be its engine), and
-  /// each OSS — its scheduler, OSS pipe and its OSTs' disks — is built on
-  /// domain 1 + oss mod (domains - 1). Bulk RPCs then cross domains as
-  /// mailbox messages under the ShardSet's lookahead, which must equal
-  /// params.rpc_latency. Not owned; must outlive the FileSystem.
-  FileSystem(sim::Engine& eng, hw::PlatformParams params, std::uint64_t seed,
-             AllocPolicy policy = AllocPolicy::uniform_random,
-             sim::ShardSet* shards = nullptr);
+  FileSystem(sim::Engine& eng, hw::PlatformParams params, std::uint64_t seed);
 
   FileSystem(const FileSystem&) = delete;
   FileSystem& operator=(const FileSystem&) = delete;
@@ -119,28 +98,12 @@ class FileSystem {
   sim::Engine& engine() { return *eng_; }
   const hw::PlatformParams& params() const { return params_; }
 
-  // -- sharded execution -------------------------------------------------
   /// The server half of one bulk RPC, from arrival latency to reply
   /// latency: request hop, scheduler admission, OSS pipe, disk service,
-  /// completion, reply hop. Single-engine runs inline the historical
-  /// await sequence; sharded runs post a request message to the owning
-  /// OSS domain and suspend until its reply message resumes the caller —
-  /// same events, same timestamps, different thread.
+  /// completion, reply hop.
   sim::Co<void> oss_round_trip(sched::JobId job, OstIndex ost, ObjectId object,
                                Bytes object_offset, Bytes bytes,
                                bool is_write);
-
-  /// Run the simulation to completion: the shard coordinator when sharded,
-  /// the plain engine otherwise (mpi::Runtime::run_to_completion calls
-  /// this instead of engine().run()).
-  void run_all();
-
-  bool sharded() const { return shards_ != nullptr; }
-  /// Domain owning OSS `oss`; 0 when the run is not sharded.
-  std::uint32_t domain_of_oss(std::uint32_t oss) const;
-  std::uint32_t domain_of_ost(OstIndex ost) const {
-    return domain_of_oss(ost % params_.oss_count);
-  }
 
   /// Liveness token for telemetry probes: a probe capturing `this` must
   /// hold a weak_ptr of this token and assert it is not expired before
@@ -215,15 +178,6 @@ class FileSystem {
 
  private:
   sim::Co<void> mds_op(Seconds cost);
-  /// Engine the given OSS's objects live on (domain engine when sharded).
-  sim::Engine& engine_for_oss(std::uint32_t oss);
-  /// Mailbox delivery handler, installed on every domain.
-  void deliver_message(sim::Engine& eng, std::uint32_t src,
-                       const sim::Message& m);
-  /// Server task spawned per delivered RPC request on the OSS domain.
-  sim::Task serve_rpc(sim::Message m);
-  /// Deferred forget_stream on the OST's owning domain (sharded unlink).
-  sim::Task forget_stream_task(sim::Message m);
   Result<InodeId> resolve(std::string_view path) const;
   /// Resolve all but the last component; returns (parent inode, leaf name).
   Result<std::pair<InodeId, std::string>> resolve_parent(std::string_view path) const;
@@ -232,7 +186,6 @@ class FileSystem {
   Inode& new_inode(bool is_dir, InodeId parent, std::string name);
 
   sim::Engine* eng_;
-  sim::ShardSet* shards_ = nullptr;
   hw::PlatformParams params_;
   std::unique_ptr<PlacementPolicy> placement_;
   PflSpec pfl_;

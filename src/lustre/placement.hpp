@@ -8,8 +8,7 @@
 // on the contention model instead of merely feeding it:
 //
 //   round_robin    a striding cursor over all OSTs (perfectly even
-//                  assignment; the historical AllocPolicy::round_robin
-//                  ablation, bit-for-bit).
+//                  assignment; an ablation).
 //   load_aware     pick the `want` least-demanded healthy OSTs, where
 //                  demand is the MDS's live allocated-object count per
 //                  OST. Minimises the predicted per-OST overlap (Eq. 1-4:
@@ -21,8 +20,7 @@
 //                  many OSS, so non-overlapping jobs never share an OST).
 //
 // All policies read only MDS state (per-OST demand maintained at
-// create/unlink on domain 0), never live server-side counters, so
-// placement is deterministic at any --sim_domains count.
+// create/unlink), never live server-side counters.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +41,9 @@ enum class PlacementKind : std::uint8_t {
 
 const char* placement_kind_name(PlacementKind kind);
 
-/// What a placement decision may consult: all fields are MDS (domain-0)
-/// state, so every policy stays deterministic under sharding. `demand` is
-/// the live allocated-object count per OST (FileSystem::objects_per_ost).
+/// What a placement decision may consult: all fields are MDS state.
+/// `demand` is the live allocated-object count per OST
+/// (FileSystem::objects_per_ost).
 struct PlacementView {
   std::uint32_t ost_count = 0;
   const std::vector<bool>* failed = nullptr;

@@ -40,9 +40,7 @@ void Runtime::launch(const std::function<sim::Task(int)>& rank_main) {
 
 void Runtime::run_to_completion(const std::function<sim::Task(int)>& rank_main) {
   launch(rank_main);
-  // Through the file system, not engine().run(): a sharded run must drive
-  // every domain's engine, and the FileSystem owns that decision.
-  fs_->run_all();
+  engine().run();
 }
 
 }  // namespace pfsc::mpi

@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <limits>
-
 #include "sim/task.hpp"
 #include "trace/recorder.hpp"
 
@@ -27,29 +25,9 @@ WakeToken Engine::schedule(std::coroutine_handle<> h, Seconds t) {
   PFSC_ASSERT(h && !h.done());
   PFSC_ASSERT(t >= now_);
   const std::uint64_t seq = ++seq_;  // 1-based: token 0 stays null
-  queue_->push(ScheduledEvent{t, now_, seq, h, /*src=*/0});
+  queue_->push(ScheduledEvent{t, seq, h});
   ++pending_;
   return WakeToken{seq};
-}
-
-void Engine::schedule_message(std::coroutine_handle<> h, Seconds t, Seconds at,
-                              std::uint32_t src, std::uint64_t seq) {
-  PFSC_ASSERT(h && !h.done());
-  PFSC_ASSERT(t >= now_);
-  PFSC_ASSERT(src != 0);
-  queue_->push(ScheduledEvent{t, at, seq, h, src});
-  ++pending_;
-}
-
-void Engine::spawn_message(Task task, Seconds t, Seconds at, std::uint32_t src,
-                           std::uint64_t seq) {
-  PFSC_REQUIRE(task.valid(), "Engine::spawn_message: invalid task");
-  auto h = task.handle();
-  PFSC_REQUIRE(!h.promise().spawned(),
-               "Engine::spawn_message: task already spawned");
-  h.promise().bind(*this, live_roots_.size());
-  live_roots_.push_back(h);
-  schedule_message(h, t, at, src, seq);
 }
 
 void Engine::spawn(Task task) {
@@ -77,10 +55,7 @@ void Engine::note_root_done(std::size_t live_index) {
 void Engine::dispatch_one() {
   const ScheduledEvent ev = queue_->pop();
   --pending_;
-  // Only native wakeups can be cancelled; a delivered message's per-edge
-  // seq may numerically collide with a cancelled native token, so the
-  // tombstone set is consulted for src == 0 entries only.
-  if (ev.src == 0 && !cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
+  if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
     // Lazily-skipped cancellation: neither time nor the event count moves,
     // so cancelling is invisible to everything still scheduled.
     return;
@@ -94,7 +69,7 @@ void Engine::dispatch_one() {
 
 const ScheduledEvent* Engine::drain_cancelled_front() {
   const ScheduledEvent* top = queue_->peek();
-  while (top != nullptr && top->src == 0 && !cancelled_.empty() &&
+  while (top != nullptr && !cancelled_.empty() &&
          cancelled_.erase(top->seq) > 0) {
     queue_->pop();
     --pending_;
@@ -113,7 +88,7 @@ void Engine::trace_dispatch() {
   if (trace_batch_open_ && ++trace_in_batch_ < rec->engine_sample_every()) {
     return;
   }
-  const trace::TrackId track = rec->track(trace_track_name_);
+  const trace::TrackId track = rec->track("engine");
   if (trace_batch_open_) {
     rec->end(trace::Cat::engine, track, "dispatch", now_, 0,
              static_cast<std::int64_t>(trace_in_batch_));
@@ -149,26 +124,6 @@ bool Engine::run_until(Seconds t) {
       now_ = t;
       return false;
     }
-    dispatch_one();
-    rethrow_pending();
-  }
-}
-
-Seconds Engine::next_event_time() {
-  const ScheduledEvent* top = drain_cancelled_front();
-  return top == nullptr ? std::numeric_limits<double>::infinity() : top->t;
-}
-
-bool Engine::run_window(Seconds end) {
-  for (;;) {
-    const ScheduledEvent* top = drain_cancelled_front();
-    if (top == nullptr) return true;
-    // Strictly-before: an event at exactly `end` may still be preceded by
-    // a message delivery at `end` arriving in a later window, so it stays
-    // queued. now() deliberately does not advance to `end` — it tracks
-    // the last dispatched event, keeping schedule()'s `at` stamps equal to
-    // what the single-engine run would have produced.
-    if (top->t >= end) return false;
     dispatch_one();
     rethrow_pending();
   }

@@ -5,13 +5,6 @@
 // the two coroutine types (`Task` roots and `Co<T>` children) and
 // resources.hpp for the synchronisation primitives built on this engine.
 //
-// One engine is always single-threaded, but a run may shard its model
-// across several engines (sim/domain.hpp), each on its own worker thread,
-// exchanging timestamped messages under conservative lookahead. The
-// message entry points (`schedule_message`, `spawn_message`,
-// `next_event_time`, `run_window`) exist for that coordinator; a plain
-// single-engine run never calls them.
-//
 // The pending-event set is a pluggable sim::EventQueue (event_queue.hpp):
 // a calendar/ladder queue by default, the reference binary heap on
 // request. Both pop the globally minimal (time, seq) event, so the choice
@@ -23,7 +16,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -96,49 +88,6 @@ class Engine {
   /// pending work: an engine whose queue holds only tombstones drains.
   bool run_until(Seconds t);
 
-  // -- sharded-run coordinator interface (sim/domain.hpp) ----------------
-  // A message delivered from another domain enters the queue with the
-  // full (t, at, src, seq) key of the send: `at` is the sender's clock at
-  // the send, `src` is 1 + the sender's domain index, and `seq` the
-  // per-edge mailbox sequence — disjoint from this engine's native seq
-  // counter, which is why dispatch consults the cancellation set only for
-  // src == 0 entries.
-
-  /// Timestamp of the next live pending event (+inf when drained); does
-  /// not dispatch. Leading cancelled tombstones are drained on the way.
-  Seconds next_event_time();
-
-  /// Dispatch every event with t < `end` (strictly — the window end is
-  /// EXCLUSIVE, which is what makes the conservative-lookahead barrier
-  /// sound), then stop without advancing now() to `end`. Returns true if
-  /// the queue drained.
-  bool run_window(Seconds end);
-
-  /// Resume `h` at time `t` on behalf of another domain's send at time
-  /// `at` (key fields as described above). Requires src != 0.
-  void schedule_message(std::coroutine_handle<> h, Seconds t, Seconds at,
-                        std::uint32_t src, std::uint64_t seq);
-
-  /// Start a root coroutine at time `t` with a message key: the sharded
-  /// request path spawns one server task per delivered RPC.
-  void spawn_message(Task task, Seconds t, Seconds at, std::uint32_t src,
-                     std::uint64_t seq);
-
-  /// Install this engine's frame arena as the calling thread's current
-  /// arena; returns the previous one so the caller can restore it. Domain
-  /// worker threads adopt their engine's arena for the run so coroutine
-  /// frames allocate and recycle thread-locally.
-  FrameArena* make_arena_current() {
-    return FrameArena::exchange_current(&arena_);
-  }
-
-  /// Rename the engine's dispatch-batch trace track ("engine" by default;
-  /// sharded runs use "engine.d<k>" so merged per-domain traces keep one
-  /// track per engine).
-  void set_trace_track_name(std::string name) {
-    trace_track_name_ = std::move(name);
-  }
-
   /// Awaitable: suspend the current coroutine for `dt` simulated seconds.
   auto delay(Seconds dt) {
     struct Awaiter {
@@ -206,7 +155,6 @@ class Engine {
   trace::Recorder* recorder_ = nullptr;
   bool trace_batch_open_ = false;
   std::uint32_t trace_in_batch_ = 0;
-  std::string trace_track_name_ = "engine";
 };
 
 }  // namespace pfsc::sim

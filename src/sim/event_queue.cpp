@@ -42,10 +42,7 @@ LadderQueue::LadderQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1) {}
 void LadderQueue::push(const ScheduledEvent& ev) {
   // Immediate wakeups (t no later than the last pop) keep arriving in
   // key order — see the today_ member comment — so they bypass the
-  // calendar entirely: O(1) ring append, O(1) ring pop. Cross-domain
-  // deliveries can never land here: conservative lookahead puts them
-  // strictly after the window that sent them (domain.hpp), hence after
-  // every pop so far.
+  // calendar entirely: O(1) ring append, O(1) ring pop.
   if (ev.t <= t_floor_) {
     today_.push_back(ev);
     ++size_;

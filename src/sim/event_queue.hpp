@@ -1,9 +1,9 @@
 // Pluggable pending-event queues for the simulation engine.
 //
-// The engine dispatches the globally minimal (t, at, src, seq) event on
-// every step (see ScheduledEvent for the key), so any queue that pops in
-// that order is bit-for-bit interchangeable with any other — the
-// implementations below differ only in cost:
+// The engine dispatches the globally minimal (t, seq) event on every step
+// (see ScheduledEvent for the key), so any queue that pops in that order
+// is bit-for-bit interchangeable with any other — the implementations
+// below differ only in cost:
 //
 //  * BinaryHeapQueue — std::priority_queue over the key: O(log n) per
 //    push/pop. The reference implementation; simple, and what the engine
@@ -20,9 +20,9 @@
 //    This is the queue the DES literature recommends once event counts
 //    reach the tens of millions a 4,096-rank PLFS run executes.
 //
-// Determinism: pop() always returns the minimal (t, at, src, seq) pending
-// event, so every implementation yields the same dispatch sequence; the
-// golden regression tests and the heap-vs-ladder property test pin this.
+// Determinism: pop() always returns the minimal (t, seq) pending event,
+// so every implementation yields the same dispatch sequence; the golden
+// regression tests and the heap-vs-ladder property test pin this.
 #pragma once
 
 #include <coroutine>
@@ -35,29 +35,16 @@
 
 namespace pfsc::sim {
 
-/// One scheduled resume, ordered by the key (t, at, src, seq).
-///
-/// `at` is the simulated time at which the wakeup was *scheduled* (the
-/// engine's now() during the schedule call) and `src` identifies where it
-/// came from: 0 for native events scheduled by this engine's own dispatch
-/// loop, 1 + source-domain for messages delivered from another domain of a
-/// sharded run (sim/domain.hpp). `seq` is the schedule order *within* one
-/// source: the engine-wide counter for native events, the per-edge mailbox
-/// counter for messages — unique and monotone per source, so (src, seq)
-/// is globally unique.
-///
-/// For a single-engine run every event has src == 0 and `at` is monotone
-/// in `seq` (simulated time never goes backwards between schedule calls),
-/// so (t, at, src, seq) orders exactly like the historical (t, seq) key —
-/// the widened key is bit-for-bit invisible until domains enter the
-/// picture.
+/// One scheduled resume, ordered by the key (t, seq): `seq` is the
+/// engine-wide schedule counter, unique and monotone, so events due at the
+/// same instant run in the order they were scheduled.
 struct ScheduledEvent {
   Seconds t = 0.0;
-  Seconds at = 0.0;
   std::uint64_t seq = 0;
   std::coroutine_handle<> h;
-  std::uint32_t src = 0;
 };
+static_assert(sizeof(ScheduledEvent) == 24,
+              "the event key is (t, seq) plus the handle");
 
 enum class EventQueuePolicy {
   binary_heap,  // reference O(log n) heap
@@ -66,8 +53,8 @@ enum class EventQueuePolicy {
 
 const char* event_queue_policy_name(EventQueuePolicy policy);
 
-/// Interface for the engine's pending-event set, ordered by the
-/// (t, at, src, seq) key.
+/// Interface for the engine's pending-event set, ordered by the (t, seq)
+/// key.
 class EventQueue {
  public:
   virtual ~EventQueue() = default;
@@ -107,8 +94,6 @@ class BinaryHeapQueue final : public EventQueue {
   struct Later {
     bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
       if (a.t != b.t) return a.t > b.t;
-      if (a.at != b.at) return a.at > b.at;
-      if (a.src != b.src) return a.src > b.src;
       return a.seq > b.seq;
     }
   };
@@ -138,12 +123,10 @@ class LadderQueue final : public EventQueue {
   struct Later {
     bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
       if (a.t != b.t) return a.t > b.t;
-      if (a.at != b.at) return a.at > b.at;
-      if (a.src != b.src) return a.src > b.src;
       return a.seq > b.seq;
     }
   };
-  using Bucket = std::vector<ScheduledEvent>;  // min-heap on (t, at, src, seq)
+  using Bucket = std::vector<ScheduledEvent>;  // min-heap on (t, seq)
 
   /// Virtual bucket index of time `t` (the bucket array wraps this by
   /// `mask_`, one wrap per "year"). Placement and the cursor's window test
@@ -181,10 +164,9 @@ class LadderQueue final : public EventQueue {
 
   // "Today" ring: events pushed with t <= the last popped time (the
   // schedule-at-now wakeups joins/semaphores/pipes produce constantly).
-  // They arrive already sorted — t and at are pinned to the engine's now
-  // and (src, seq) grow monotonically (only native events qualify; see
-  // push) — so a flat ring holds them in pop order with no hashing or
-  // heap ops at all.
+  // They arrive already sorted — t is pinned to the engine's now and seq
+  // grows monotonically — so a flat ring holds them in pop order with no
+  // hashing or heap ops at all.
   std::vector<ScheduledEvent> today_;
   std::size_t today_head_ = 0;
   double t_floor_ = 0.0;  // time of the last popped event (monotone)

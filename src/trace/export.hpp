@@ -1,4 +1,7 @@
-// Exporters over a trace::Recorder's event buffer.
+// Exporters over a trace::Recorder's event buffer. Each emits the
+// recorder's canonical form: tracks sorted by name, events stably ordered
+// by (time, track), async span ids renumbered by first appearance. The
+// bytes are therefore a function of the simulated history alone.
 //
 //  * export_chrome_trace — Chrome `trace_event` JSON (the object form with
 //    "traceEvents"), loadable in about://tracing and ui.perfetto.dev. Each
@@ -28,30 +31,11 @@ namespace pfsc::trace {
 std::string export_chrome_trace(const Recorder& rec);
 std::string export_counters_csv(const Recorder& rec);
 
-// -- merged (canonical) exporters -------------------------------------------
-// Sharded runs record into one Recorder per domain; these exporters merge
-// any number of recorders into ONE canonical stream: tracks united and
-// sorted by name, events stably ordered by (time, canonical track), async
-// span ids renumbered by first appearance. The harness uses them for every
-// run — single-engine included — so the bytes a run emits are a function of
-// the simulated history alone, never of how it was partitioned (the
-// sharded determinism tests compare them verbatim across --sim_domains).
-// A track never spans recorders (every device lives on one engine), so the
-// per-track event order each recorder saw is preserved exactly.
-
-std::string export_chrome_trace(const std::vector<const Recorder*>& recs);
-std::string export_counters_csv(const std::vector<const Recorder*>& recs);
-
 /// Time-weighted mean of the sum, across tracks, of the counter `name`
 /// restricted to category `cat` (0 when no such counter was recorded).
-/// Each track contributes its last-seen value between updates.
+/// Each track contributes its last-seen value between updates; the
+/// integral runs over the canonical event order.
 double mean_counter_sum(const Recorder& rec, Cat cat, const char* name);
-
-/// Merged-recorder variant: the same integral over the canonical
-/// time-ordered stream (identical to the single-recorder result when given
-/// one recorder, since a recorder's events are already time-ordered).
-double mean_counter_sum(const std::vector<const Recorder*>& recs, Cat cat,
-                        const char* name);
 
 struct RunSummary {
   std::map<std::uint32_t, Bytes> job_bytes;  // served per JobId

@@ -57,13 +57,6 @@ InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost) {
 }
 
 RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec) {
-  std::vector<const Recorder*> recs;
-  if (rec != nullptr) recs.push_back(rec);
-  return collect_summary(fs, recs);
-}
-
-RunSummary collect_summary(lustre::FileSystem& fs,
-                           const std::vector<const Recorder*>& recs) {
   RunSummary s;
   for (const auto& [job, bytes] : fs.sched_served_by_job()) {
     s.job_bytes[static_cast<std::uint32_t>(job)] = bytes;
@@ -73,12 +66,10 @@ RunSummary collect_summary(lustre::FileSystem& fs,
   for (std::uint32_t ost = 0; ost < fs.params().ost_count; ++ost) {
     s.ost_bytes.push_back(fs.ost_disk(ost).bytes_serviced());
   }
-  if (!recs.empty()) {
-    s.mean_queue_depth = mean_counter_sum(recs, Cat::sched, "queue");
-    for (const Recorder* r : recs) {
-      s.recorded_events += r->events().size();
-      s.dropped_events += r->dropped();
-    }
+  if (rec != nullptr) {
+    s.mean_queue_depth = mean_counter_sum(*rec, Cat::sched, "queue");
+    s.recorded_events = rec->events().size();
+    s.dropped_events = rec->dropped();
   }
   return s;
 }

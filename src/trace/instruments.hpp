@@ -56,11 +56,4 @@ InstrumentSet ost_instruments(lustre::FileSystem& fs, lustre::OstIndex ost);
 /// (`rec` may be null: the summary then reports zero events).
 RunSummary collect_summary(lustre::FileSystem& fs, const Recorder* rec);
 
-/// Multi-recorder variant for sharded runs (one recorder per domain):
-/// event counts are summed, the mean queue depth integrates the merged
-/// time-ordered counter stream. Given one recorder it matches the
-/// single-recorder overload exactly.
-RunSummary collect_summary(lustre::FileSystem& fs,
-                           const std::vector<const Recorder*>& recs);
-
 }  // namespace pfsc::trace

@@ -106,9 +106,7 @@ struct TraceConfig {
   /// events, so the engine layer cannot drown every other category.
   std::uint32_t engine_sample_every = 1024;
   /// Nonzero: category mask override (cat_bit combinations) replacing the
-  /// mask the mode implies. The sharded determinism tests use it to drop
-  /// Cat::engine, whose per-domain dispatch batching is the one layer that
-  /// legitimately differs across --sim_domains values.
+  /// mask the mode implies, e.g. to record one layer at a time.
   unsigned categories = 0;
 };
 

@@ -1,6 +1,6 @@
 // Admission controller: the default stays bit-for-bit invisible, the
 // threshold/detune policies honour the Eq. 1-6 load prediction, and the
-// decisions are deterministic at any --sim_domains / --threads count.
+// decisions are deterministic at any --threads count.
 //
 // The golden tests replay the bundled Fig. 3 quartet and a 200-job
 // synthetic fleet under `always` and require byte-identical analytics
@@ -157,26 +157,6 @@ TEST(AdmissionPolicyTest, DetuneReducesStripesInsteadOfWaiting) {
     }
   }
   EXPECT_GT(detuned, 0u);
-}
-
-TEST(AdmissionPolicyTest, DecisionsIdenticalAcrossSimDomains) {
-  Scenario s = fleet_scenario(60, 5.0);
-  s.admission.policy = AdmissionPolicy::threshold;
-  s.admission.max_dload = 1.2;
-  Scenario sharded = s;
-  sharded.platform.sim_domains = 4;
-  const Observation a = run_scenario(s, 7);
-  const Observation b = run_scenario(sharded, 7);
-  const std::string ja = replay::analyze_fleet(a, s.platform).to_json();
-  const std::string jb = replay::analyze_fleet(b, sharded.platform).to_json();
-  EXPECT_EQ(ja, jb);
-  ASSERT_EQ(a.admissions.size(), b.admissions.size());
-  for (std::size_t i = 0; i < a.admissions.size(); ++i) {
-    EXPECT_EQ(a.admissions[i].job_id, b.admissions[i].job_id);
-    EXPECT_EQ(a.admissions[i].action, b.admissions[i].action);
-    EXPECT_EQ(a.admissions[i].released, b.admissions[i].released);
-    EXPECT_EQ(a.admissions[i].predicted_dload, b.admissions[i].predicted_dload);
-  }
 }
 
 // -- controller-level fuzz ---------------------------------------------------

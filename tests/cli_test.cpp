@@ -49,6 +49,65 @@ TEST(CliParse, ByteSuffixes) {
   EXPECT_THROW(parse_bytes("--x", "64Mx"), UsageError);
   EXPECT_THROW(parse_bytes("--x", "M"), UsageError);
   EXPECT_THROW(parse_bytes("--x", ""), UsageError);
+  // The product must fit in Bytes: 16777216T and 17179869184G are 2^64.
+  EXPECT_EQ(parse_bytes("--x", "16777215T"), 16777215ull * 1024_GiB);
+  EXPECT_THROW(parse_bytes("--x", "16777216T"), UsageError);
+  EXPECT_THROW(parse_bytes("--x", "17179869184G"), UsageError);
+  EXPECT_THROW(parse_bytes("--x", "18446744073709551616"), UsageError);
+}
+
+/// Parse one "--flag value" pair through the standard scenario table and
+/// return the UsageError message ("" when the value was accepted).
+std::string scenario_flag_error(const char* flag, const char* value,
+                                Scenario& scenario, unsigned& threads) {
+  RunPlan plan;
+  FlagTable table = scenario_flags(scenario, plan, threads);
+  std::vector<std::string> args = {"prog", flag, value};
+  auto argv = argv_of(args);
+  try {
+    table.parse(static_cast<int>(argv.size()), argv.data(), 1);
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliTable, IntegerFlagsRejectValuesTheFieldCannotHold) {
+  // Each value would wrap to a small valid one if narrowed: 2^32 + 1 to 1
+  // rank or writer, 2^32 + 4 to 4 threads, 16777217T to 1 TiB. They must
+  // be rejected, naming the flag, and leave the field untouched.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--nprocs", "4294967297"},
+      {"--nprocs", "2147483648"},
+      {"--nprocs", "-2147483649"},
+      {"--writers", "4294967297"},
+      {"--threads", "4294967300"},
+      {"--repetitions", "4294967297"},
+      {"--block_size", "16777217T"},
+  };
+  for (const auto& [flag, value] : cases) {
+    Scenario scenario;
+    unsigned threads = 7;
+    const Scenario before = scenario;
+    const std::string msg = scenario_flag_error(flag, value, scenario, threads);
+    EXPECT_NE(msg.find(flag), std::string::npos)
+        << flag << " " << value << ": '" << msg << "'";
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+    EXPECT_EQ(scenario.nprocs, before.nprocs) << flag;
+    EXPECT_EQ(scenario.writers, before.writers) << flag;
+    EXPECT_EQ(scenario.ior.block_size, before.ior.block_size) << flag;
+    EXPECT_EQ(threads, 7u) << flag;
+  }
+
+  // The extremes that do fit are still accepted.
+  Scenario scenario;
+  unsigned threads = 0;
+  EXPECT_EQ(scenario_flag_error("--nprocs", "2147483647", scenario, threads),
+            "");
+  EXPECT_EQ(scenario.nprocs, 2147483647);
+  EXPECT_EQ(scenario_flag_error("--threads", "4294967295", scenario, threads),
+            "");
+  EXPECT_EQ(threads, 4294967295u);
 }
 
 TEST(CliTable, BindsAndAliases) {
@@ -309,40 +368,6 @@ TEST(CliEnumFlags, EventQueueParsesOrListsChoices) {
     EXPECT_NE(msg.find("splay"), std::string::npos) << msg;
   }
   EXPECT_EQ(scenario.platform.event_queue, sim::EventQueuePolicy::ladder);
-}
-
-TEST(CliEnumFlags, SimDomainsParsesStrictly) {
-  Scenario scenario;
-  RunPlan plan;
-  unsigned threads = 0;
-  FlagTable table = scenario_flags(scenario, plan, threads);
-
-  EXPECT_EQ(scenario.platform.sim_domains, 1u);
-
-  std::vector<std::string> eight = {"prog", "--sim_domains", "8"};
-  auto argv1 = argv_of(eight);
-  table.parse(static_cast<int>(argv1.size()), argv1.data(), 1);
-  EXPECT_EQ(scenario.platform.sim_domains, 8u);
-
-  // 0 = auto (one domain per hardware thread), via the dashed alias.
-  std::vector<std::string> autod = {"prog", "--sim-domains", "0"};
-  auto argv2 = argv_of(autod);
-  table.parse(static_cast<int>(argv2.size()), argv2.data(), 1);
-  EXPECT_EQ(scenario.platform.sim_domains, 0u);
-
-  // Garbage, trailing junk, negatives and overflow are all errors — never
-  // a silent default.
-  for (const char* bad : {"many", "8x", "-2", "", "4294967296"}) {
-    std::vector<std::string> args = {"prog", "--sim_domains", bad};
-    auto argv3 = argv_of(args);
-    EXPECT_THROW(table.parse(static_cast<int>(argv3.size()), argv3.data(), 1),
-                 UsageError)
-        << bad;
-  }
-  EXPECT_EQ(scenario.platform.sim_domains, 0u);  // last good value sticks
-
-  // The flag is documented.
-  EXPECT_NE(table.usage().find("--sim_domains"), std::string::npos);
 }
 
 TEST(CliEnumFlags, SchedTuningFlagsDriveTheTuningStruct) {

@@ -64,7 +64,7 @@ std::vector<std::pair<double, std::uint64_t>> replay(EventQueuePolicy policy,
   double now = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (ops[i].push) {
-      q->push({now + ops[i].dt, now, seq++, std::noop_coroutine()});
+      q->push({now + ops[i].dt, seq++, std::noop_coroutine()});
     } else if (!q->empty()) {
       const ScheduledEvent ev = q->pop();
       now = ev.t;

@@ -63,7 +63,7 @@ TEST_P(EveryQueue, PopsInTimeThenSeqOrder) {
   Rng rng(0xE001);
   std::uint64_t seq = 1;
   for (int i = 0; i < 1000; ++i) {
-    q->push({rng.uniform_double(0.0, 50.0), 0.0, seq++, dummy_handle()});
+    q->push({rng.uniform_double(0.0, 50.0), seq++, dummy_handle()});
   }
   EXPECT_EQ(q->size(), 1000u);
   auto evs = drain(*q);
@@ -75,7 +75,7 @@ TEST_P(EveryQueue, SameTimestampIsFifoBySeq) {
   auto q = make_event_queue(GetParam());
   // All at the same instant: pop order must be schedule order, exactly.
   for (std::uint64_t seq = 1; seq <= 256; ++seq) {
-    q->push({3.25, 0.0, seq, dummy_handle()});
+    q->push({3.25, seq, dummy_handle()});
   }
   auto evs = drain(*q);
   ASSERT_EQ(evs.size(), 256u);
@@ -91,7 +91,7 @@ TEST_P(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
   for (int round = 0; round < 2000; ++round) {
     if (q->empty() || rng.uniform(3) != 0) {
       // Engine invariant: never schedule before the current time.
-      q->push({now + rng.uniform_double(0.0, 10.0), now, seq++, dummy_handle()});
+      q->push({now + rng.uniform_double(0.0, 10.0), seq++, dummy_handle()});
     } else {
       const ScheduledEvent* top = q->peek();
       ASSERT_NE(top, nullptr);
@@ -115,7 +115,7 @@ TEST(LadderQueue, GrowsAndShrinksWithPopulation) {
   std::uint64_t seq = 1;
   Rng rng(0xE003);
   for (int i = 0; i < 4096; ++i) {
-    q.push({rng.uniform_double(0.0, 100.0), 0.0, seq++, dummy_handle()});
+    q.push({rng.uniform_double(0.0, 100.0), seq++, dummy_handle()});
   }
   EXPECT_GT(q.bucket_count(), initial);
   while (q.size() > 8) (void)q.pop();
@@ -129,10 +129,10 @@ TEST(LadderQueue, SparseFarFutureTailStaysOrdered) {
   // fruitless-lap direct-search fallback and the cursor jump.
   LadderQueue q;
   std::uint64_t seq = 1;
-  q.push({1.0e-6, 0.0, seq++, dummy_handle()});
-  q.push({5.0, 0.0, seq++, dummy_handle()});
-  q.push({9000.0, 0.0, seq++, dummy_handle()});
-  q.push({9.0e7, 0.0, seq++, dummy_handle()});
+  q.push({1.0e-6, seq++, dummy_handle()});
+  q.push({5.0, seq++, dummy_handle()});
+  q.push({9000.0, seq++, dummy_handle()});
+  q.push({9.0e7, seq++, dummy_handle()});
   auto evs = drain(q);
   ASSERT_EQ(evs.size(), 4u);
   EXPECT_TRUE(ordered(evs));
@@ -146,7 +146,7 @@ TEST(LadderQueue, ReusableAfterFullDrain) {
   for (int wave = 0; wave < 3; ++wave) {
     const double base = wave * 1000.0;
     for (int i = 0; i < 100; ++i) {
-      q.push({base + static_cast<double>(i % 7), 0.0, seq++, dummy_handle()});
+      q.push({base + static_cast<double>(i % 7), seq++, dummy_handle()});
     }
     auto evs = drain(q);
     ASSERT_EQ(evs.size(), 100u);

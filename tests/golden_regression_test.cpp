@@ -175,59 +175,5 @@ TEST(GoldenFifo, SchedFifoPreservesEveryFigure) {
   }
 }
 
-// -- Sharded engine: domain count is invisible in the numbers ---------------
-// The multi-domain engine (platform.sim_domains > 1) partitions the OSS
-// shards across worker threads with conservative-lookahead sync. Its
-// contract is stronger than statistical equivalence: every figure must
-// reproduce the single-engine goldens above TO THE LAST DIGIT at any
-// domain count. One representative scenario per figure, at 2 and 8
-// domains, checked against the same constants as the single-engine tests.
-
-TEST(GoldenFifo, ShardedDomainsReproduceEveryFigure) {
-  for (const std::uint32_t domains : {2u, 8u}) {
-    {
-      harness::Scenario scen = fig1_base();
-      scen.platform.sim_domains = domains;
-      scen.ior.hints.striping_factor = 64;
-      scen.ior.hints.striping_unit = 4_MiB;
-      const auto obs = harness::run_scenario(scen, 0xF1D0);
-      ASSERT_EQ(obs.ior.err, lustre::Errno::ok);
-      char what[64];
-      std::snprintf(what, sizeof(what), "sharded%u.fig1[2][0]", domains);
-      check(what, obs.ior.write_mbps, 7454.4042488345267);
-    }
-    {
-      harness::Scenario s;
-      s.workload = harness::Workload::probe;
-      s.platform.sim_domains = domains;
-      s.writers = 8;
-      s.bytes_per_writer = 16_MiB;
-      const auto obs = harness::run_scenario(s, 0xF2D0);
-      char what[64];
-      std::snprintf(what, sizeof(what), "sharded%u.fig2[3]", domains);
-      check(what, obs.probe.mean_mbps, 21.318108696473729);
-    }
-    {
-      harness::Scenario s;
-      s.workload = harness::Workload::multi;
-      s.platform.sim_domains = domains;
-      s.jobs = 2;
-      s.nprocs = 32;
-      s.procs_per_node = 16;
-      s.ior.segment_count = 10;
-      s.ior.hints.driver = mpiio::Driver::ad_lustre;
-      s.ior.hints.striping_factor = 16;
-      s.ior.hints.striping_unit = 4_MiB;
-      const auto obs = harness::run_scenario(s, 0xF3D0);
-      ASSERT_EQ(obs.per_job.size(), 2u);
-      char what[64];
-      std::snprintf(what, sizeof(what), "sharded%u.fig3.job0", domains);
-      check(what, obs.per_job[0].write_mbps, 834.95268617543184);
-      std::snprintf(what, sizeof(what), "sharded%u.fig3.job1", domains);
-      check(what, obs.per_job[1].write_mbps, 827.73487650397442);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace pfsc

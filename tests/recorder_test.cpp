@@ -131,14 +131,45 @@ TEST(ChromeExport, WellFormedWithAllEventKinds) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"e\",\"id\":42"), std::string::npos);
+  // Async ids are renumbered by first appearance: recorded id 42 is the
+  // trace's first async span, so it is exported as id 1.
+  EXPECT_NE(json.find("\"ph\":\"b\",\"id\":1,"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"e\",\"id\":1,"), std::string::npos);
+  EXPECT_EQ(json.find("\"id\":42"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   // The quoted track name must be escaped in the thread_name metadata.
   EXPECT_NE(json.find("disk \\\"quoted\\\""), std::string::npos);
   // Counters are name-qualified by track to stay distinct in the viewer.
   EXPECT_NE(json.find("disk \\\"quoted\\\".queue"), std::string::npos);
+}
+
+TEST(ChromeExport, CanonicalTrackOrderAndEventOrder) {
+  Recorder rec;
+  const TrackId b = rec.track("b");  // named first, sorts second
+  const TrackId a = rec.track("a");
+  rec.instant(Cat::disk, b, "x", 1.0);
+  rec.instant(Cat::disk, a, "y", 1.0);
+  rec.begin(Cat::link, b, "flow", 2.0, /*id=*/9);
+  rec.begin(Cat::link, a, "flow", 2.0, /*id=*/5);
+  const std::string json = export_chrome_trace(rec);
+  // Tracks are numbered by name, so "a" is thread row 0.
+  EXPECT_NE(json.find("\"tid\":0,\"args\":{\"name\":\"a\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\":1,\"args\":{\"name\":\"b\"}"),
+            std::string::npos);
+  // Same-instant events come out in canonical track order; async ids are
+  // renumbered in that order too.
+  EXPECT_LT(json.find("\"name\":\"y\""), json.find("\"name\":\"x\""));
+  const std::size_t first = json.find("\"ph\":\"b\",\"id\":1,");
+  const std::size_t second = json.find("\"ph\":\"b\",\"id\":2,");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_LT(first, second);
+  // Id 1 belongs to track "a" (recorded id 5), not to the span recorded
+  // first.
+  EXPECT_NE(json.find("\"tid\":0,\"ts\":2000000.000,\"ph\":\"b\",\"id\":1,"),
+            std::string::npos);
 }
 
 TEST(ChromeExport, AutoClosesDanglingSyncSpans) {

@@ -3,10 +3,12 @@
 // plan misuse must throw before any simulation starts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "harness/run_plan.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
-#include "sim/domain.hpp"
 
 namespace pfsc {
 namespace {
@@ -120,7 +122,8 @@ TEST(Runner, WorkerExceptionPropagates) {
 
 TEST(Runner, ZeroThreadsMeansHardwareConcurrency) {
   EXPECT_GE(harness::ParallelRunner(0).threads(), 1u);
-  EXPECT_EQ(harness::ParallelRunner(0).threads(), sim::hardware_threads());
+  EXPECT_EQ(harness::ParallelRunner(0).threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
   EXPECT_EQ(harness::ParallelRunner(3).threads(), 3u);
 }
 
@@ -130,33 +133,15 @@ TEST(Runner, ProvenanceRecordsEffectiveThreads) {
   plan.sweep_striping_factor({1, 2}).repetitions(2).base_seed(5);
   const auto set = harness::ParallelRunner(2).run(base, plan);
   EXPECT_EQ(set.provenance().rep_threads, 2u);
-  EXPECT_EQ(set.provenance().domain_threads, 1u);  // scenario is unsharded
-  EXPECT_EQ(set.provenance().hardware_threads, sim::hardware_threads());
+  EXPECT_EQ(set.provenance().hardware_threads,
+            std::max(1u, std::thread::hardware_concurrency()));
   // Provenance lives in a comment header, opt-in, above the normal header.
   const std::string csv = set.to_csv(/*with_provenance=*/true);
-  EXPECT_EQ(csv.rfind("# rep_threads=2 domain_threads=1 hardware_threads=", 0),
-            0u);
+  EXPECT_EQ(csv.rfind("# rep_threads=2 hardware_threads=", 0), 0u);
   EXPECT_NE(csv.find("\nstriping_factor,rep,seed,value\n"), std::string::npos);
   // Default serialisation is untouched by provenance.
   EXPECT_EQ(set.to_csv(), set.to_csv(false));
   EXPECT_EQ(set.to_csv().rfind("striping_factor,rep,seed,value\n", 0), 0u);
-}
-
-TEST(Runner, DomainThreadsClampRepPool) {
-  // A sharded base scenario divides the rep-thread budget: each run spawns
-  // domain workers, so the rep pool shrinks to hardware / domains.
-  harness::Scenario base = tiny_ior_scenario();
-  base.platform.sim_domains = 3;  // tiny platform: 2 OSS shards + client
-  harness::RunPlan plan;
-  plan.repetitions(2).base_seed(9);
-  const auto set = harness::ParallelRunner(8).run(base, plan);
-  const auto& prov = set.provenance();
-  EXPECT_EQ(prov.domain_threads, 3u);
-  const unsigned budget = std::max(1u, sim::hardware_threads() / 3u);
-  EXPECT_EQ(prov.rep_threads, std::min({8u, budget, 2u}));
-  // The clamp is about resources only; results still match a serial run.
-  const auto serial = harness::ParallelRunner(1).run(base, plan);
-  EXPECT_EQ(serial.to_csv(), set.to_csv());
 }
 
 }  // namespace

@@ -177,29 +177,6 @@ TEST(TraceIntegration, TraceIdenticalAcrossRunnerThreadCounts) {
   }
 }
 
-TEST(TraceIntegration, ShardedFullTraceIsByteIdentical) {
-  // Same contract as TraceIdenticalAcrossRunnerThreadCounts, but for domain
-  // workers inside ONE run: recording onto per-domain recorders and merging
-  // at export must produce the very bytes the single recorder produced.
-  // Cat::engine is masked out — dispatch-batch spans are per-engine
-  // bookkeeping whose boundaries legitimately depend on the partition.
-  Scenario s = small_multi();
-  s.trace.mode = trace::TraceMode::full;
-  s.trace.categories = trace::kAllCats & ~trace::cat_bit(trace::Cat::engine);
-  const Observation solo = run_scenario(s, /*seed=*/13);
-  s.platform.sim_domains = 2;
-  const Observation sharded = run_scenario(s, /*seed=*/13);
-  ASSERT_FALSE(solo.trace_json.empty());
-  EXPECT_EQ(solo.trace_json, sharded.trace_json);
-  EXPECT_EQ(solo.trace_summary.recorded_events,
-            sharded.trace_summary.recorded_events);
-  EXPECT_EQ(solo.trace_summary.dropped_events, 0u);
-  for (const char* cat : {"\"cat\":\"link\"", "\"cat\":\"disk\"",
-                          "\"cat\":\"client\"", "\"cat\":\"sched\""}) {
-    EXPECT_NE(sharded.trace_json.find(cat), std::string::npos) << cat;
-  }
-}
-
 TEST(TraceIntegration, ValidateRejectsInconsistentTraceConfig) {
   Scenario s = small_multi();
   s.trace.out = "trace.json";  // out without a mode
