@@ -3,7 +3,10 @@
 # micro_simcore additionally emits BENCH_simcore.json (Google Benchmark
 # JSON), the machine-readable record the CI perf gate checks with
 # tools/check_bench_baseline.py.
-cd /root/repo
+#
+# Run from anywhere: the script works in the checkout it lives in, on the
+# binaries of its build/ tree.
+cd "$(dirname "$0")" || exit 1
 
 # A debug-build capture is not a perf reference: refuse outright rather
 # than silently committing numbers that are 10-50x off. (Google Benchmark
@@ -29,7 +32,10 @@ if [ "$(echo "$load $cores" | awk '{print ($1 > $2)}')" = "1" ]; then
   echo "numbers captured now will be noisy. Prefer an idle machine." >&2
 fi
 
+# build/bench also holds CMake's own files (CMakeFiles/, Makefile, ...):
+# run only the regular, executable files, i.e. the benchmark programs.
 for b in build/bench/*; do
+  [ -f "$b" ] && [ -x "$b" ] || continue
   case "$(basename "$b")" in
     micro_simcore)
       "$b" --benchmark_out=BENCH_simcore.json --benchmark_out_format=json

@@ -66,9 +66,15 @@ sim::Task Client::rpc(OstIndex ost, ObjectId object, Bytes object_offset,
   if (node_nic_ != nullptr) co_await node_nic_->transfer(bytes);
   co_await fs_->fabric().transfer(bytes);
   // The server half: request hop, scheduler admission, OSS pipe, disk
-  // service, reply hop.
-  co_await fs_->oss_round_trip(job_, ost, object, object_offset, bytes,
-                               is_write);
+  // service, completion, reply hop.
+  const Seconds latency = fs_->params().rpc_latency;
+  co_await eng_->delay(latency);
+  sched::Scheduler& sched = fs_->sched_for_ost(ost);
+  co_await sched.admit(job_, bytes);
+  co_await fs_->oss_pipe_for_ost(ost).transfer(bytes);
+  co_await fs_->ost_disk(ost).submit(object, object_offset, bytes, is_write);
+  sched.complete(job_, bytes);
+  co_await eng_->delay(latency);
   if (fs_->ost_failed(ost) && state->err == Errno::ok) state->err = Errno::eio;
   rpc_slots_.release();
   end_span();
@@ -162,7 +168,7 @@ sim::Co<Errno> Client::io(InodeId file, Bytes offset, Bytes length, bool is_writ
 }
 
 sim::Co<Errno> Client::write(InodeId file, Bytes offset, Bytes length) {
-  co_return co_await io(file, offset, length, /*is_write=*/true);
+  return io(file, offset, length, /*is_write=*/true);
 }
 
 sim::Co<Errno> Client::read(InodeId file, Bytes offset, Bytes length) {

@@ -6,11 +6,17 @@
 // (capped at max_rpc_size) and pipeline them with at most
 // `client_max_rpcs_in_flight` outstanding, each flowing
 //
-//   process link -> node NIC -> fabric -> OSS link -> OST disk
+//   process link -> node NIC -> fabric -> request hop -> OSS scheduler
+//     -> OSS link -> OST disk -> reply hop
 //
 // which is where every bandwidth effect in the paper's experiments arises.
-// Every hop is a sim::LinkModel, so the platform's link_policy decides
+// Every link is a sim::LinkModel, so the platform's link_policy decides
 // whether concurrent RPCs queue (FIFO) or share capacity (fair-share).
+//
+// Frames: one io() call is one coroutine frame, and each of its bulk RPCs
+// is one more — the rpc() task, which awaits every station above in turn.
+// The links, the scheduler's admission and the disk are awaiters that add
+// no frame of their own, and write() hands back io()'s coroutine as is.
 #pragma once
 
 #include <memory>

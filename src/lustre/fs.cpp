@@ -391,19 +391,6 @@ sched::Scheduler& FileSystem::sched_for_ost(OstIndex ost) {
   return *oss_scheds_[ost % params_.oss_count];
 }
 
-sim::Co<void> FileSystem::oss_round_trip(sched::JobId job, OstIndex ost,
-                                         ObjectId object, Bytes object_offset,
-                                         Bytes bytes, bool is_write) {
-  const Seconds latency = params_.rpc_latency;
-  co_await eng_->delay(latency);  // request hop
-  sched::Scheduler& sched = sched_for_ost(ost);
-  co_await sched.admit(job, bytes);
-  co_await oss_pipe_for_ost(ost).transfer(bytes);
-  co_await ost_disk(ost).submit(object, object_offset, bytes, is_write);
-  sched.complete(job, bytes);
-  co_await eng_->delay(latency);  // reply hop
-}
-
 std::size_t FileSystem::sched_queue_depth() const {
   std::size_t depth = 0;
   for (const auto& s : oss_scheds_) depth += s->queue_depth();

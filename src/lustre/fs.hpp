@@ -87,7 +87,10 @@ class FileSystem {
   // -- data-path plumbing used by lustre::Client -------------------------
   // All links are built through sim::make_link following
   // params().link_policy, so every data path shares capacity under the
-  // platform's configured model.
+  // platform's configured model. The server half of a bulk RPC (request
+  // hop, sched_for_ost admission, oss_pipe_for_ost, ost_disk, completion,
+  // reply hop, each hop params().rpc_latency) runs inside the client's
+  // per-RPC coroutine, Client::rpc, which awaits these pieces directly.
   hw::DiskModel& ost_disk(OstIndex ost);
   sim::LinkModel& oss_pipe_for_ost(OstIndex ost);
   sim::LinkModel& fabric() { return *fabric_; }
@@ -97,13 +100,6 @@ class FileSystem {
   }
   sim::Engine& engine() { return *eng_; }
   const hw::PlatformParams& params() const { return params_; }
-
-  /// The server half of one bulk RPC, from arrival latency to reply
-  /// latency: request hop, scheduler admission, OSS pipe, disk service,
-  /// completion, reply hop.
-  sim::Co<void> oss_round_trip(sched::JobId job, OstIndex ost, ObjectId object,
-                               Bytes object_offset, Bytes bytes,
-                               bool is_write);
 
   /// Liveness token for telemetry probes: a probe capturing `this` must
   /// hold a weak_ptr of this token and assert it is not expired before

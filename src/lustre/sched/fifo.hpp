@@ -2,9 +2,9 @@
 // order with no admission control, exactly as the data path behaved
 // before the scheduler layer existed.
 //
-// admit() never suspends: a Co<void> that co_returns immediately runs
-// synchronously via symmetric transfer and schedules ZERO engine events,
-// so the event sequence — and therefore every golden number — is
+// admit() never suspends: grant_now grants every request at its arrival,
+// so `co_await admit(...)` continues inline and schedules ZERO engine
+// events. The event sequence — and therefore every golden number — is
 // bit-for-bit identical to the pre-scheduler tree. The golden regression
 // tests pin this.
 #pragma once
@@ -17,8 +17,13 @@ class FifoSched final : public Scheduler {
  public:
   using Scheduler::Scheduler;
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::fifo; }
+
+ private:
+  bool grant_now(JobId, Bytes) override { return true; }
+  void park(JobId, Parked) override {
+    PFSC_ASSERT(false && "FifoSched never parks a request");
+  }
 };
 
 }  // namespace pfsc::lustre::sched

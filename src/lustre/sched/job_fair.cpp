@@ -11,34 +11,15 @@ JobFairSched::JobFairSched(sim::Engine& eng, SchedTuning tuning)
                "JobFairSched: need at least one service slot");
 }
 
-struct JobFairSched::AdmitAwaiter {
-  JobFairSched* sched;
-  JobId job;
-  Bytes bytes;
-  std::uint64_t trace_id;
+bool JobFairSched::grant_now(JobId /*job*/, Bytes /*bytes*/) {
+  return active_.empty() && in_service() < tuning_.service_slots;
+}
 
-  bool await_ready() const {
-    // Fast path: nothing is backlogged and a slot is free — grant in
-    // arrival order without suspending (no engine events).
-    if (sched->active_.empty() &&
-        sched->in_service() < sched->tuning_.service_slots) {
-      sched->note_granted(trace_id, job, bytes);
-      return true;
-    }
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    auto& q = sched->queues_[job];
-    if (q.empty()) sched->active_.push_back(job);
-    q.push_back(Pending{bytes, h, trace_id});
-    sched->pump();
-  }
-  void await_resume() const {}
-};
-
-sim::Co<void> JobFairSched::admit(JobId job, Bytes bytes) {
-  const std::uint64_t trace_id = note_submitted(job, bytes);
-  co_await AdmitAwaiter{this, job, bytes, trace_id};
+void JobFairSched::park(JobId job, Parked request) {
+  auto& q = queues_[job];
+  if (q.empty()) active_.push_back(job);
+  q.push_back(request);
+  pump();
 }
 
 void JobFairSched::pump() {
@@ -50,7 +31,7 @@ void JobFairSched::pump() {
     if (deficit >= q.front().bytes) {
       // The deficit covers the head request: grant it and stay on this
       // job (DRR serves a job while its deficit lasts).
-      const Pending head = q.front();
+      const Parked head = q.front();
       q.pop_front();
       deficit -= head.bytes;
       note_granted(head.trace_id, job, head.bytes);

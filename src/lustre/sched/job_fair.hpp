@@ -16,11 +16,10 @@
 // the link + disk pipeline saturated so total bandwidth stays at FIFO
 // levels (bench/ablation_qos verifies both properties).
 //
-// Under light load (no backlog, free slots) admit grants synchronously
+// Under light load (no backlog, free slots) grant_now grants at arrival
 // without touching the engine, so an uncontended data path costs nothing.
 #pragma once
 
-#include <coroutine>
 #include <deque>
 #include <map>
 
@@ -32,7 +31,6 @@ class JobFairSched final : public Scheduler {
  public:
   JobFairSched(sim::Engine& eng, SchedTuning tuning);
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::job_fair; }
   void check_invariants() const override;
 
@@ -40,12 +38,9 @@ class JobFairSched final : public Scheduler {
   std::size_t backlogged_jobs() const { return active_.size(); }
 
  private:
-  struct Pending {
-    Bytes bytes = 0;
-    std::coroutine_handle<> waiter;
-    std::uint64_t trace_id = 0;  // note_submitted's span, ended at grant
-  };
-  struct AdmitAwaiter;
+  /// Grants in arrival order while nothing is backlogged and a slot is free.
+  bool grant_now(JobId job, Bytes bytes) override;
+  void park(JobId job, Parked request) override;
 
   /// Grant queued requests round-robin until the slots fill or the
   /// backlog drains. Never resumes a waiter inline: granted waiters are
@@ -54,7 +49,7 @@ class JobFairSched final : public Scheduler {
   void on_complete() override;
   void on_retune(const SchedTuning& previous) override;
 
-  std::map<JobId, std::deque<Pending>> queues_;
+  std::map<JobId, std::deque<Parked>> queues_;
   std::deque<JobId> active_;           // jobs with a non-empty queue
   std::map<JobId, Bytes> deficit_;     // per active job
   /// Grants legitimately in service beyond service_slots after a mid-run

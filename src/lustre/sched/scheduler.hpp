@@ -2,16 +2,23 @@
 // point between client RPC arrival at an OSS and the OSS link/disk
 // service underneath.
 //
-// Every bulk RPC calls `admit(job, bytes)` when it reaches its OSS and
-// `complete(job, bytes)` when the disk finishes serving it. A policy
-// decides only *when* admit resumes; the service path itself (OSS link,
-// OST disk elevator) is untouched, so policies reorder and pace the
+// Every bulk RPC does `co_await admit(job, bytes)` when it reaches its
+// OSS and calls `complete(job, bytes)` when the disk finishes serving it.
+// A policy decides only *when* admit resumes; the service path itself (OSS
+// link, OST disk elevator) is untouched, so policies reorder and pace the
 // backlog without changing what service costs.
 //
-//  * FifoSched        — grants instantly, in arrival order. An immediately
-//                       returning Co<void> adds zero engine events, so the
-//                       data path is bit-for-bit the pre-scheduler
-//                       behaviour (pinned by the golden regression tests).
+// admit returns one awaiter type for every policy and creates no coroutine
+// frame. At the co_await it records the submission, then asks the policy's
+// grant_now hook; a request granted there continues without suspending
+// (no engine event). Otherwise the policy's park hook takes the parked
+// caller, and the policy later schedules it at its grant.
+//
+//  * FifoSched        — grants instantly, in arrival order: grant_now
+//                       always succeeds, so admission adds no engine event
+//                       and the data path is bit-for-bit the
+//                       pre-scheduler behaviour (pinned by the golden
+//                       regression tests).
 //  * JobFairSched     — deficit round robin across JobIds with a bounded
 //                       number of in-service requests: each round a job's
 //                       deficit grows by one quantum and it may send
@@ -31,6 +38,7 @@
 // mirroring how sim::make_link selects the link-sharing model.
 #pragma once
 
+#include <coroutine>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,9 +60,12 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
   virtual ~Scheduler() = default;
 
-  /// Gate one request into the OSS service path; resumes when the policy
-  /// grants it. Pair every granted admit with exactly one complete().
-  virtual sim::Co<void> admit(JobId job, Bytes bytes) = 0;
+  class Admission;
+
+  /// Gate one request into the OSS service path: `co_await admit(...)`
+  /// resumes when the policy grants it. Pair every granted admit with
+  /// exactly one complete().
+  Admission admit(JobId job, Bytes bytes);
 
   /// Account a granted request leaving service (after the disk finished).
   void complete(JobId job, Bytes bytes);
@@ -93,10 +104,27 @@ class Scheduler {
   virtual void check_invariants() const;
 
  protected:
-  /// Call at arrival (start of admit), before any grant decision. Returns
-  /// a trace correlation id (0 when tracing is off) that the policy must
-  /// carry with the request and hand back to note_granted, so the queued
-  /// wait renders as one async span per request.
+  /// A request the policy did not grant at once, parked until its grant.
+  struct Parked {
+    Bytes bytes = 0;
+    std::coroutine_handle<> waiter;
+    std::uint64_t trace_id = 0;  // note_submitted's span, ended at grant
+  };
+
+  /// Grant-now hook, asked once per request at its arrival (after
+  /// note_submitted): true grants it without suspending — the Admission
+  /// then calls note_granted. A policy that grants takes the request into
+  /// its books here (e.g. debits tokens).
+  virtual bool grant_now(JobId job, Bytes bytes) = 0;
+  /// Park hook for a request grant_now refused: the policy keeps it and
+  /// later calls note_granted and schedules `request.waiter` on the engine
+  /// (never resumes it inline).
+  virtual void park(JobId job, Parked request) = 0;
+
+  /// Called by the Admission at arrival, before any grant decision.
+  /// Returns a trace correlation id (0 when tracing is off) that travels
+  /// with the request to note_granted, so the queued wait renders as one
+  /// async span per request.
   std::uint64_t note_submitted(JobId job, Bytes bytes);
   /// Call at the grant decision (before the waiter actually resumes), so
   /// in_service() already reflects the grant when the next decision runs.
@@ -124,6 +152,34 @@ class Scheduler {
   std::string trace_label_ = "sched";
   trace::TrackHandle track_;
 };
+
+/// The awaiter admit returns; see the file header.
+class Scheduler::Admission {
+ public:
+  Admission(Scheduler& sched, JobId job, Bytes bytes)
+      : sched_(&sched), job_(job), bytes_(bytes) {}
+
+  bool await_ready() {
+    trace_id_ = sched_->note_submitted(job_, bytes_);
+    if (!sched_->grant_now(job_, bytes_)) return false;
+    sched_->note_granted(trace_id_, job_, bytes_);
+    return true;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    sched_->park(job_, Parked{bytes_, h, trace_id_});
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Scheduler* sched_;
+  JobId job_;
+  Bytes bytes_;
+  std::uint64_t trace_id_ = 0;
+};
+
+inline Scheduler::Admission Scheduler::admit(JobId job, Bytes bytes) {
+  return Admission{*this, job, bytes};
+}
 
 /// Construct the scheduler implementation selected by `policy`.
 std::unique_ptr<Scheduler> make_scheduler(sim::Engine& eng, SchedPolicy policy,

@@ -42,42 +42,27 @@ void TokenBucketSched::refill(Bucket& b) {
   b.last = now;
 }
 
-struct TokenBucketSched::AdmitAwaiter {
-  TokenBucketSched* sched;
-  JobId job;
-  Bytes bytes;
-  std::uint64_t trace_id;
+bool TokenBucketSched::grant_now(JobId job, Bytes bytes) {
+  Bucket& b = bucket(job);
+  refill(b);
+  // FIFO within the job: an empty queue is required, or this request
+  // would overtake a queued head.
+  if (!b.q.empty() || b.tokens < need(bytes) - kTokenEps) return false;
+  b.tokens -= static_cast<double>(bytes);
+  return true;
+}
 
-  bool await_ready() const {
-    Bucket& b = sched->bucket(job);
-    sched->refill(b);
-    // FIFO within the job: an empty queue is required, or this request
-    // would overtake a queued head.
-    if (b.q.empty() && b.tokens >= sched->need(bytes) - kTokenEps) {
-      b.tokens -= static_cast<double>(bytes);
-      sched->note_granted(trace_id, job, bytes);
-      return true;
-    }
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    Bucket& b = sched->bucket(job);
-    b.q.push_back(Pending{bytes, h, trace_id});
-    if (b.q.size() == 1) sched->arm(job, b);
-  }
-  void await_resume() const {}
-};
-
-sim::Co<void> TokenBucketSched::admit(JobId job, Bytes bytes) {
-  const std::uint64_t trace_id = note_submitted(job, bytes);
-  co_await AdmitAwaiter{this, job, bytes, trace_id};
+void TokenBucketSched::park(JobId job, Parked request) {
+  Bucket& b = bucket(job);
+  b.q.push_back(request);
+  if (b.q.size() == 1) arm(job, b);
 }
 
 void TokenBucketSched::drain(JobId job) {
   Bucket& b = bucket(job);
   refill(b);
   while (!b.q.empty() && b.tokens >= need(b.q.front().bytes) - kTokenEps) {
-    const Pending head = b.q.front();
+    const Parked head = b.q.front();
     b.q.pop_front();
     b.tokens -= static_cast<double>(head.bytes);
     note_granted(head.trace_id, job, head.bytes);

@@ -15,15 +15,15 @@
 // independent: there is no cross-job coupling and no service-slot cap,
 // so the policy shapes rather than schedules. Waiting queues wake via
 // generation-counted timers sized to the head request's token deficit;
-// stale timers no-op, exactly like FairSharePipe's wakeups.
+// stale timers no-op.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <map>
 
 #include "lustre/sched/scheduler.hpp"
+#include "sim/task.hpp"
 
 namespace pfsc::lustre::sched {
 
@@ -31,7 +31,6 @@ class TokenBucketSched final : public Scheduler {
  public:
   TokenBucketSched(sim::Engine& eng, SchedTuning tuning);
 
-  sim::Co<void> admit(JobId job, Bytes bytes) override;
   SchedPolicy policy() const override { return SchedPolicy::token_bucket; }
   void check_invariants() const override;
 
@@ -40,18 +39,17 @@ class TokenBucketSched final : public Scheduler {
   double tokens(JobId job) const;
 
  private:
-  struct Pending {
-    Bytes bytes = 0;
-    std::coroutine_handle<> waiter;
-    std::uint64_t trace_id = 0;  // note_submitted's span, ended at grant
-  };
   struct Bucket {
     double tokens = 0.0;   // may go negative (debt from oversize grants)
     Seconds last = 0.0;    // when `tokens` was last brought up to date
-    std::deque<Pending> q;
+    std::deque<Parked> q;
     std::uint64_t timer_generation = 0;
   };
-  struct AdmitAwaiter;
+
+  /// Grants (and debits) when the job has no queue and the balance covers
+  /// the request.
+  bool grant_now(JobId job, Bytes bytes) override;
+  void park(JobId job, Parked request) override;
 
   /// Tokens a request of `bytes` must hold to be granted.
   double need(Bytes bytes) const;

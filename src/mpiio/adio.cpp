@@ -85,13 +85,13 @@ class LustreFamilyDriver final : public AdioDriver {
   sim::Co<Errno> write_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    co_return co_await run_extents(client, ctx, extents, /*is_write=*/true);
+    return run_extents(client, ctx, extents, /*is_write=*/true);
   }
 
   sim::Co<Errno> read_run(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents) override {
-    co_return co_await run_extents(client, ctx, extents, /*is_write=*/false);
+    return run_extents(client, ctx, extents, /*is_write=*/false);
   }
 
   sim::Co<Errno> close_rank(lustre::Client& /*client*/, OpenContext& /*ctx*/,
@@ -106,24 +106,26 @@ class LustreFamilyDriver final : public AdioDriver {
 
  private:
   /// One round's extents, issued concurrently (the client's RPC window
-  /// provides the in-flight bound, like a real Lustre client).
+  /// provides the in-flight bound, like a real Lustre client). The first
+  /// error lives in this frame: join_all joins every task before it
+  /// returns or rethrows, so no task outlives it.
   static sim::Co<Errno> run_extents(
       lustre::Client& client, OpenContext& ctx,
       const std::vector<std::pair<Bytes, Bytes>>& extents, bool is_write) {
-    auto err = std::make_shared<Errno>(Errno::ok);
+    Errno err = Errno::ok;
     std::vector<sim::Task> inflight;
     inflight.reserve(extents.size());
     for (const auto& [off, len] : extents) {
       sim::Task t = [](lustre::Client& c, lustre::InodeId ino, Bytes o, Bytes l,
-                       bool w, std::shared_ptr<Errno> e) -> sim::Task {
+                       bool w, Errno* e) -> sim::Task {
         const Errno r = w ? co_await c.write(ino, o, l) : co_await c.read(ino, o, l);
         if (r != Errno::ok && *e == Errno::ok) *e = r;
-      }(client, ctx.ino, off, len, is_write, err);
+      }(client, ctx.ino, off, len, is_write, &err);
       client.fs().engine().spawn(t);
       inflight.push_back(std::move(t));
     }
     co_await sim::join_all(std::move(inflight));
-    co_return *err;
+    co_return err;
   }
 
   bool apply_hints_;

@@ -38,13 +38,28 @@ File::CollState& File::state_for(int rank, std::uint64_t& seq_out) {
   return st;
 }
 
-sim::Co<Errno> File::finish(std::uint64_t seq) {
-  CollState& st = coll_.at(seq);
-  if (!st.done->fired()) co_await st.done->wait();
-  const Errno err = st.err;
-  if (++st.consumed == comm_->size()) coll_.erase(seq);
-  co_return err;
-}
+class File::Finish {
+ public:
+  Finish(File& file, std::uint64_t seq)
+      : file_(&file), seq_(seq), st_(&file.coll_.at(seq)) {}
+
+  bool await_ready() const noexcept { return st_->done->fired(); }
+  void await_suspend(std::coroutine_handle<> h) {
+    st_->done->wait().await_suspend(h);
+  }
+  Errno await_resume() const {
+    const Errno err = st_->err;
+    if (++st_->consumed == file_->comm_->size()) file_->coll_.erase(seq_);
+    return err;
+  }
+
+ private:
+  File* file_;
+  std::uint64_t seq_;
+  CollState* st_;  // std::map nodes stay put until erased
+};
+
+File::Finish File::finish(std::uint64_t seq) { return Finish{*this, seq}; }
 
 sim::Co<Errno> File::open(int rank, lustre::Client& client, bool create) {
   PFSC_REQUIRE(rank >= 0 && rank < comm_->size(), "File::open: bad rank");
@@ -210,11 +225,11 @@ sim::Co<Errno> File::collective_io(int rank, Bytes offset, Bytes length,
 }
 
 sim::Co<Errno> File::write_at_all(int rank, Bytes offset, Bytes length) {
-  co_return co_await collective_io(rank, offset, length, /*is_write=*/true);
+  return collective_io(rank, offset, length, /*is_write=*/true);
 }
 
 sim::Co<Errno> File::read_at_all(int rank, Bytes offset, Bytes length) {
-  co_return co_await collective_io(rank, offset, length, /*is_write=*/false);
+  return collective_io(rank, offset, length, /*is_write=*/false);
 }
 
 sim::Co<Errno> File::close(int rank) {

@@ -57,8 +57,12 @@ class File {
     Errno err = Errno::ok;
   };
 
+  class Finish;
+
   CollState& state_for(int rank, std::uint64_t& seq_out);
-  sim::Co<Errno> finish(std::uint64_t seq);
+  /// Awaiter: waits for collective `seq` to complete, then yields its
+  /// result; the last rank to collect it releases its state.
+  Finish finish(std::uint64_t seq);
   sim::Co<Errno> collective_io(int rank, Bytes offset, Bytes length,
                                bool is_write);
   sim::Task aggregator_task(AggregatorPlan plan, CollState* st, bool is_write);

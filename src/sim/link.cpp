@@ -52,46 +52,83 @@ const char* link_policy_name(LinkPolicy policy) {
   return "?";
 }
 
-Co<void> FifoPipe::transfer(Bytes bytes) {
-  const std::uint64_t flow = trace_flow_begin(bytes);
-  co_await slots_.acquire();
-  const Seconds service = latency_ + static_cast<double>(bytes) / rate_;
+void LinkModel::schedule_relay(Seconds t) {
+  if (!relay_.valid()) relay_ = relay_loop();
+  eng_->schedule(relay_.handle(), t);
+}
+
+/// The link's relay coroutine: never spawned, only scheduled, one run of
+/// relay() per dispatch. The first dispatch starts the body from its
+/// initial suspension; every later one returns from the park below.
+Task LinkModel::relay_loop() {
+  for (;;) {
+    relay();
+    co_await std::suspend_always{};
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FifoPipe
+// ---------------------------------------------------------------------------
+
+bool FifoPipe::start_service(Transfer& flow) {
+  const Seconds service = latency_ + static_cast<double>(flow.bytes) / rate_;
   busy_time_ += service;
-  bytes_moved_ += bytes;
+  bytes_moved_ += flow.bytes;
   ++transfers_;
-  co_await eng_->delay(service);
-  slots_.release();
-  trace_flow_end(flow);
+  if (service <= 0.0) return false;
+  eng_->schedule_after(flow.caller, service);
+  return true;
+}
+
+bool FifoPipe::arrive(Transfer& flow) {
+  if (busy_ < channels_) {
+    ++busy_;
+    return start_service(flow);
+  }
+  queue_.push_back(flow);
+  return true;
+}
+
+void FifoPipe::depart(Transfer& /*flow*/) {
+  if (queue_.size() > granted_) {
+    // The channel passes directly to the oldest waiting flow; its service
+    // starts in the relay event scheduled here.
+    ++granted_;
+    schedule_relay(eng_->now());
+  } else {
+    PFSC_ASSERT(busy_ > 0);
+    --busy_;
+  }
+}
+
+void FifoPipe::relay() {
+  PFSC_ASSERT(granted_ > 0);
+  --granted_;
+  Transfer& flow = queue_.pop_front();
+  // A zero-length service completes inside this event.
+  if (!start_service(flow)) flow.caller.resume();
 }
 
 // ---------------------------------------------------------------------------
 // FairSharePipe
 // ---------------------------------------------------------------------------
 
-/// Suspends the transferring coroutine and registers it as an in-flight
-/// flow; FairSharePipe::complete_due resumes it at the flow's finish time.
-struct FairShareAwaiter {
-  FairSharePipe& pipe;
-  Bytes bytes;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    pipe.advance_clock();
-    FairSharePipe::Flow flow;
-    flow.finish_v = pipe.vtime_ + static_cast<double>(bytes) / pipe.rate_;
-    flow.id = pipe.next_flow_id_++;
-    flow.waiter = h;
-    pipe.join(std::move(flow));
+bool FairSharePipe::arrive(Transfer& flow) {
+  if (latency_ > 0.0) {
+    hop_.push_back(flow);
+    schedule_relay(eng_->now() + latency_);
+  } else {
+    join(flow);
   }
-  void await_resume() const noexcept {}
-};
+  return true;
+}
 
-Co<void> FairSharePipe::transfer(Bytes bytes) {
-  const std::uint64_t flow = trace_flow_begin(bytes);
-  if (latency_ > 0.0) co_await eng_->delay(latency_);
-  co_await FairShareAwaiter{*this, bytes};
-  bytes_moved_ += bytes;
+void FairSharePipe::relay() { join(hop_.pop_front()); }
+
+void FairSharePipe::depart(Transfer& flow) {
+  bytes_moved_ += flow.bytes;
   ++transfers_;
-  trace_flow_end(flow);
 }
 
 /// Integrate the virtual clock (and the utilisation integral) up to now.
@@ -120,8 +157,13 @@ double FairSharePipe::utilisation() const {
   return busy / t;
 }
 
-void FairSharePipe::join(Flow flow) {
-  flows_.push_back(std::move(flow));
+void FairSharePipe::join(Transfer& transfer) {
+  advance_clock();
+  Flow flow;
+  flow.finish_v = vtime_ + static_cast<double>(transfer.bytes) / rate_;
+  flow.id = next_flow_id_++;
+  flow.waiter = transfer.caller;
+  flows_.push_back(flow);
   std::push_heap(flows_.begin(), flows_.end(), LaterFinish{});
   arm();
 }

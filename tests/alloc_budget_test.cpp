@@ -15,6 +15,10 @@
 // MPI-IO planner allocates per rank per collective call, about one
 // allocation per rank, which would measure that layer instead of the RPC
 // path. Each 1 MiB transfer is one bulk RPC, the Fig. 3 RPC shape.
+//
+// The same binary holds the path's coroutine-frame budget: frames come
+// from the engine's arena, not the heap, so they are counted through
+// Engine::frame_arena() on a bare FileSystem and Client instead.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +28,7 @@
 #include <string>
 
 #include "harness/scenario.hpp"
+#include "lustre/client.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
@@ -144,6 +149,44 @@ TEST(AllocBudget, AtMostOneAllocationPerMarginalBulkRpc) {
   EXPECT_LE(per_rpc, 1.0) << (allocs_many - allocs_few)
                           << " extra allocations for "
                           << (rpcs_many - rpcs_few) << " extra bulk RPCs";
+}
+
+
+/// Coroutine frames created while one Client issues `writes` one-RPC
+/// writes back to back on a bare FileSystem (no MPI-IO above it).
+std::uint64_t frames_for_writes(std::uint64_t writes) {
+  sim::Engine eng;
+  lustre::FileSystem fs(eng, hw::tiny_test_platform(), kSeed);
+  lustre::Client client(fs, "c");
+  const sim::FrameArena& arena = eng.frame_arena();
+  const std::uint64_t before =
+      arena.fresh_allocations() + arena.reused_allocations();
+  eng.spawn([](lustre::Client& c, std::uint64_t n) -> sim::Task {
+    lustre::StripeSettings settings;
+    settings.stripe_count = 1;
+    settings.stripe_size = 1_MiB;
+    const auto file = co_await c.create("/f", settings);
+    EXPECT_TRUE(file.ok());
+    for (std::uint64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(co_await c.write(file.value, i * 1_MiB, 1_MiB),
+                lustre::Errno::ok);
+    }
+  }(client, writes));
+  eng.run();
+  EXPECT_EQ(client.bytes_written(), writes * 1_MiB);
+  return arena.fresh_allocations() + arena.reused_allocations() - before;
+}
+
+TEST(FrameBudget, AtMostTwoFramesPerMarginalBulkRpc) {
+  // One RPC is Client::io plus its rpc task; links, the OSS scheduler, the
+  // disk and the pass-through wrappers add no frame of their own.
+  const std::uint64_t few = frames_for_writes(10);
+  const std::uint64_t many = frames_for_writes(110);
+  ASSERT_GT(many, few);
+  const double per_rpc = static_cast<double>(many - few) / 100.0;
+  RecordProperty("marginal_frames_per_rpc", std::to_string(per_rpc));
+  EXPECT_LE(per_rpc, 2.0) << (many - few) << " extra frames for 100 extra "
+                          << "bulk RPCs";
 }
 
 }  // namespace

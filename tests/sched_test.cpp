@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -298,6 +299,91 @@ TEST(TokenBucketSched, FifoWithinOneJob) {
   eng.spawn(request(eng, s, 0, 1_MiB, 0.0, order, 2));  // must NOT overtake
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// -- hand-off order ----------------------------------------------------------
+// A parked request resumes in its own event at the grant instant; these
+// cases pin who resumes when, and after how many engine events, relative
+// to a bystander whose wakeup lands on the same instant.
+
+struct Mark {
+  std::string who;
+  Seconds t = 0.0;
+  std::uint64_t events = 0;  // engine events dispatched so far
+  bool operator==(const Mark&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Mark& m) {
+  return os << "{" << m.who << ", t=" << m.t << ", events=" << m.events << "}";
+}
+
+void mark(sim::Engine& eng, std::vector<Mark>& log, std::string who) {
+  log.push_back(Mark{std::move(who), eng.now(), eng.executed_events()});
+}
+
+/// admit, mark the grant, hold the grant for `service`, complete.
+sim::Task logged_request(sim::Engine& eng, Scheduler& s, JobId job,
+                         Bytes bytes, Seconds service, std::string who,
+                         std::vector<Mark>& log) {
+  co_await s.admit(job, bytes);
+  mark(eng, log, who);
+  if (service > 0.0) co_await eng.delay(service);
+  s.complete(job, bytes);
+}
+
+sim::Task logged_sleep(sim::Engine& eng, Seconds dt, std::string who,
+                       std::vector<Mark>& log) {
+  co_await eng.delay(dt);
+  mark(eng, log, std::move(who));
+}
+
+TEST(SchedHandOff, JobFairParkedGrantResumesAfterSameInstantWakeups) {
+  sim::Engine eng;
+  SchedTuning t;
+  t.service_slots = 1;
+  JobFairSched s(eng, t);
+  std::vector<Mark> log;
+  // r0 takes the only slot at once; r1 parks until r0 completes at t=1.
+  // The bystander's t=1 wakeup was scheduled at t=0, r1's grant only when
+  // r0 completes, so the bystander runs first.
+  eng.spawn(logged_request(eng, s, 0, 1_MiB, 1.0, "r0", log));
+  eng.spawn(logged_request(eng, s, 0, 1_MiB, 1.0, "r1", log));
+  eng.spawn(logged_sleep(eng, 1.0, "by", log));
+  eng.run();
+  const std::vector<Mark> expect{{"r0", 0.0, 1}, {"by", 1.0, 5}, {"r1", 1.0, 6}};
+  EXPECT_EQ(log, expect);
+  EXPECT_EQ(eng.executed_events(), 7u);
+  EXPECT_EQ(s.served_bytes(), 2_MiB);
+  EXPECT_NO_THROW(s.check_invariants());
+}
+
+TEST(SchedHandOff, TokenBucketParkedGrantResumesAfterItsRefillTimer) {
+  sim::Engine eng;
+  SchedTuning t;
+  t.job_rate = 1048576.0;  // 1 MiB/s: an empty 1 MiB bucket refills in 1 s
+  t.bucket_depth = 1_MiB;
+  TokenBucketSched s(eng, t);
+  std::vector<Mark> log;
+  // r0 empties the bucket; r1 parks behind a refill timer due at t=1. The
+  // bystander's t=1 wakeup was scheduled first, so it runs first; the
+  // timer then grants r1, which resumes in the next event.
+  eng.spawn(logged_request(eng, s, 0, 1_MiB, 0.0, "r0", log));
+  eng.spawn(logged_request(eng, s, 0, 1_MiB, 0.0, "r1", log));
+  eng.spawn(logged_sleep(eng, 1.0, "by", log));
+  eng.run();
+  ASSERT_EQ(log.size(), 3u);
+  const std::vector<std::string> order{"r0", "by", "r1"};
+  const std::vector<Seconds> times{0.0, 1.0, 1.0};
+  // Events: r0 (1); r1 parks and spawns the timer (2); the bystander's
+  // start (3); the timer's start (4); by (5); the timer's grant (6); r1 (7).
+  const std::vector<std::uint64_t> events{1, 5, 7};
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].who, order[i]) << i;
+    EXPECT_DOUBLE_EQ(log[i].t, times[i]) << i;
+    EXPECT_EQ(log[i].events, events[i]) << i;
+  }
+  EXPECT_EQ(s.served_bytes(), 2_MiB);
+  EXPECT_NO_THROW(s.check_invariants());
 }
 
 // -- end-to-end: the scheduler inside FileSystem/Client -------------------
