@@ -104,11 +104,13 @@ int run_probe_mode(const harness::Scenario& scenario,
                    const harness::RunPlan& plan, unsigned threads) {
   const auto set = harness::ParallelRunner(threads).run(scenario, plan);
   const auto& point = set.point(0);
-  const auto& res = point.reps.front().probe;
+  // per_job, not probe: both routes fill it (one entry per writer), and a
+  // gated probe runs on the fleet route, which leaves `probe` empty.
+  const auto& writers = point.reps.front().per_job;
   TextTable table({"writer", "MB/s"});
-  for (std::size_t w = 0; w < res.per_process_mbps.size(); ++w) {
+  for (std::size_t w = 0; w < writers.size(); ++w) {
     table.cell(fmt_int(static_cast<long long>(w)))
-        .cell(fmt_double(res.per_process_mbps[w], 1));
+        .cell(fmt_double(writers[w].write_mbps, 1));
     table.end_row();
   }
   table.print("Single-OST contention probe");

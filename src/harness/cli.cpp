@@ -252,8 +252,6 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
   PFSC_FLAG(table, scenario, writers, "probe writers on one OST");
   PFSC_FLAG_BYTES(table, scenario, bytes_per_writer,
                   "bytes each probe writer streams");
-  PFSC_FLAG(table, scenario, telemetry_interval,
-            "sampling interval in simulated seconds (0: off)");
 
   // Event tracing (see trace/recorder.hpp).
   table.add("--trace", "MODE", "event tracing: off | summary | full",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <set>
 #include <string>
@@ -175,8 +176,6 @@ std::vector<JobSpec> Scenario::jobs_desugared() const {
 
 void Scenario::validate() const {
   PFSC_REQUIRE(procs_per_node >= 1, "Scenario: procs_per_node must be positive");
-  PFSC_REQUIRE(telemetry_interval >= 0.0,
-               "Scenario: telemetry_interval must be non-negative");
   PFSC_REQUIRE(trace.interval >= 0.0,
                "Scenario: trace.interval must be non-negative");
   PFSC_REQUIRE(trace.out.empty() || trace.mode != trace::TraceMode::off,
@@ -234,8 +233,6 @@ void Scenario::validate() const {
       break;
     case Workload::probe:
       PFSC_REQUIRE(writers >= 1, "Scenario: probe needs at least one writer");
-      PFSC_REQUIRE(telemetry_interval == 0.0,
-                   "Scenario: the probe workload does not support telemetry");
       PFSC_REQUIRE(trace.interval == 0.0,
                    "Scenario: the probe workload does not support a trace sampler");
       PFSC_REQUIRE(ctrl.mode == ctrl::CtrlMode::off,
@@ -264,9 +261,8 @@ sim::Task noise_writer(lustre::Client& client, std::string path,
 }
 
 /// Spawn one JobKind::noise entry (an independent client streaming a
-/// default-layout file). Naming matches the historical spawn_noise exactly:
-/// writer i (= job_id - kNoiseJobBase) is client "noise<i>" writing
-/// "/noise.<seed%1000>.<i>".
+/// default-layout file): writer i (= job_id - kNoiseJobBase) is client
+/// "noise<i>" writing "/noise.<seed%1000>.<i>".
 void spawn_noise_job(lustre::FileSystem& fs,
                      std::vector<std::unique_ptr<lustre::Client>>& clients,
                      const JobSpec& job, std::uint64_t seed) {
@@ -285,18 +281,18 @@ void spawn_noise_job(lustre::FileSystem& fs,
       settings, job.bytes, job.transfer_size, job.arrival));
 }
 
-/// Shared run state every workload branch builds: fresh engine, seeded
-/// file system, runtime, background noise jobs, optional telemetry
-/// sampler, optional event recorder (+ trace sampler mirroring into it).
+/// Shared run state both routes build: fresh engine, seeded file system,
+/// runtime, background noise jobs, optional controller, optional event
+/// recorder (+ the one periodic sampler, mirroring into it).
 struct Rig {
   sim::Engine eng;
   std::unique_ptr<trace::Recorder> recorder;  // scenario.trace.mode != off
   lustre::FileSystem fs;
   mpi::Runtime rt;
   std::vector<std::unique_ptr<lustre::Client>> noise_clients;
-  std::unique_ptr<trace::Sampler> sampler;
-  std::unique_ptr<trace::Sampler> trace_sampler;
   std::unique_ptr<ctrl::Controller> controller;  // scenario.ctrl.mode != off
+  std::unique_ptr<trace::Sampler> sampler;  // recorder && trace.interval > 0
+  std::size_t total_bytes_series = 0;       // sampler's total-bytes series
 
   Rig(const Scenario& s, int nprocs, std::uint64_t seed,
       const std::vector<const JobSpec*>& noise_jobs)
@@ -310,10 +306,6 @@ struct Rig {
     for (const JobSpec* job : noise_jobs) {
       spawn_noise_job(fs, noise_clients, *job, seed);
     }
-    if (s.telemetry_interval > 0.0) {
-      sampler = std::make_unique<trace::Sampler>(eng, s.telemetry_interval);
-      sampler->add_total_bytes_probe(fs);
-    }
     // `off` builds no controller at all: zero engine events, goldens
     // bit-for-bit (the same null pattern as admission control).
     if (s.ctrl.mode != ctrl::CtrlMode::off) {
@@ -321,29 +313,25 @@ struct Rig {
           std::make_unique<ctrl::Controller>(eng, s.ctrl, fs, recorder.get());
     }
     if (recorder && s.trace.interval > 0.0) {
-      trace_sampler = std::make_unique<trace::Sampler>(eng, s.trace.interval);
-      trace_sampler->add_instruments(trace::link_instruments("fabric", fs.fabric()),
-                                     fs.liveness());
-      trace_sampler->add_instruments(trace::sched_instruments(fs), fs.liveness());
-      trace_sampler->add_instruments(trace::total_bytes_instruments(fs),
-                                     fs.liveness());
+      sampler = std::make_unique<trace::Sampler>(eng, s.trace.interval);
+      sampler->add_instruments(trace::link_instruments("fabric", fs.fabric()),
+                               fs.liveness());
+      sampler->add_instruments(trace::sched_instruments(fs), fs.liveness());
+      total_bytes_series = sampler->add_instruments(
+          trace::total_bytes_instruments(fs), fs.liveness());
     }
   }
 
-  /// Start sampling, stopping once `done()` first returns true (so the
-  /// periodic samplers cannot keep the drained engine alive).
+  /// Start the controller and the sampler, stopping each once `done()`
+  /// first returns true (so neither can keep the drained engine alive).
   void start_sampler(std::function<bool()> done) {
-    if (sampler) {
-      sampler->watch([done] { return !done(); });
-      sampler->start();
-    }
     if (controller) {
       controller->watch([done] { return !done(); });
       controller->start();
     }
-    if (trace_sampler) {
-      trace_sampler->watch([done = std::move(done)] { return !done(); });
-      trace_sampler->start();
+    if (sampler) {
+      sampler->watch([done = std::move(done)] { return !done(); });
+      sampler->start();
     }
   }
 
@@ -356,11 +344,12 @@ struct Rig {
 
   void export_bandwidth(Observation& obs) const {
     if (!sampler) return;
-    obs.bandwidth = trace::Sampler::bandwidth_timeline(sampler->series(0));
+    obs.bandwidth =
+        trace::Sampler::bandwidth_timeline(sampler->series(total_bytes_series));
   }
 
   /// Roll the recorder up into the observation and write --trace_out.
-  /// Called after the run drains, from every workload branch.
+  /// Called after the run drains, from both routes.
   void finish_trace(Observation& obs, const Scenario& s, std::uint64_t seed) {
     if (!recorder) return;
     obs.traced = true;
@@ -397,9 +386,13 @@ struct JobPlan {
   std::vector<const JobSpec*> noise_jobs;  // pointers into `all`
   std::vector<int> first_rank;             // per rank job: world-rank base
   int total_ranks = 0;
-  bool synchronized = true;  // every rank job arrives at t = 0
+  /// More than one rank job, all arriving at t = 0: the paper's
+  /// simultaneous-submission design (world barrier, then comm_split).
+  /// Otherwise every job runs free on a communicator of its own.
+  bool together = false;
 
   explicit JobPlan(std::vector<JobSpec> jobs) : all(std::move(jobs)) {
+    bool all_at_zero = true;
     for (const JobSpec& j : all) {
       if (j.kind == JobKind::noise) {
         noise_jobs.push_back(&j);
@@ -408,8 +401,9 @@ struct JobPlan {
       rank_jobs.push_back(&j);
       first_rank.push_back(total_ranks);
       total_ranks += j.nprocs;
-      synchronized = synchronized && j.arrival == 0.0;
+      all_at_zero = all_at_zero && j.arrival == 0.0;
     }
+    together = all_at_zero && rank_jobs.size() > 1;
   }
 
   /// Job index owning `world_rank` (blocks are contiguous and in order).
@@ -423,9 +417,14 @@ struct JobPlan {
 struct JobSlot {
   const JobSpec* spec = nullptr;
   int base = 0;  // first world rank
+  /// The job's communicator: a comm_split child when the plan starts
+  /// together (set by the split), else one the executor owns.
+  mpi::Communicator* comm = nullptr;
   std::unique_ptr<ior::IorJob> job;
-  std::unique_ptr<sim::Event> ready;          // synchronized mode
-  std::unique_ptr<mpi::Communicator> comm;    // free-running mode
+  /// Released by local rank 0 once the job is admitted and its IorJob
+  /// built; null when nothing has to wait (free-running and ungated, or an
+  /// ungated probe job).
+  std::unique_ptr<sim::Event> ready;
   // probe_writer outcomes, one slot per writer rank.
   std::vector<double> writer_mbps;
   std::vector<Seconds> writer_time;
@@ -507,80 +506,41 @@ void collect_parents(const std::string& path, std::vector<std::string>& out) {
   }
 }
 
-/// Synchronised-start rank main: the paper's simultaneous-submission
-/// design. All world ranks barrier, then carve the world into one
-/// sub-communicator per job — the historical multi workload's exact event
-/// sequence (pinned bit-for-bit by the golden tests), generalised to
-/// heterogeneous job lists.
-sim::Task fleet_rank_main_sync(Rig& rig, const JobPlan& plan,
-                               std::vector<JobSlot>& slots, int world_rank,
-                               plfs::Plfs* plfs, std::uint64_t seed,
-                               sim::Event* setup_done,
-                               AdmissionController* admission) {
-  mpi::Communicator& world = rig.rt.world();
-  const auto color = static_cast<int>(plan.color_of(world_rank));
-
-  if (setup_done != nullptr && !setup_done->fired()) {
-    co_await setup_done->wait();
-  }
-  co_await world.barrier(world_rank);
-  const auto sr = co_await world.split(world_rank, color, world_rank);
-  JobSlot& slot = slots[static_cast<std::size_t>(color)];
-  if (slot.spec->kind == JobKind::probe_writer) {
-    // Probe layouts are not stripe-tunable; admission can only delay them.
-    if (admission != nullptr) {
-      if (sr.rank == 0) {
-        (void)co_await admission->admit(*slot.spec);
-        slot.ready->trigger();
-      } else if (!slot.ready->fired()) {
-        co_await slot.ready->wait();
-      }
-    }
-    co_await probe_writer_body(rig, slot, sr.rank, rig.rt.client(world_rank),
-                               seed);
-    if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
-    co_return;
-  }
-  if (sr.rank == 0) {
-    ior::Config cfg = slot.spec->ior;
-    if (admission != nullptr) {
-      const std::uint32_t detuned = co_await admission->admit(*slot.spec);
-      if (detuned != 0) cfg.hints.striping_factor = detuned;
-    }
-    slot.job = std::make_unique<ior::IorJob>(
-        *sr.comm, rig.fs, std::move(cfg),
-        slot.spec->kind == JobKind::plfs ? plfs : nullptr);
-    slot.ready->trigger();
-  } else if (!slot.ready->fired()) {
-    co_await slot.ready->wait();
-  }
-  co_await slot.job->run_rank(sr.rank, rig.rt.client(world_rank));
-  if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
-}
-
-/// Free-running rank main: any positive arrival disables the global
-/// barrier; each job sleeps until its own offset and runs on a pre-built
-/// per-job communicator (jobs arriving later genuinely find the system in
-/// whatever state the earlier ones left it).
-sim::Task fleet_rank_main_staggered(Rig& rig, std::vector<JobSlot>& slots,
-                                    std::size_t color, int local_rank,
-                                    int world_rank, plfs::Plfs* plfs,
-                                    std::uint64_t seed, sim::Event* setup_done,
-                                    AdmissionController* admission) {
+/// One rank's main in the fleet executor. The prelude is the only fork:
+/// a plan that starts together barriers on the world and carves it into
+/// one sub-communicator per job (the historical multi workload's exact
+/// event sequence, pinned by the golden tests); any other plan runs free,
+/// each job sleeping until its own arrival on its own communicator (jobs
+/// arriving later genuinely find the system in whatever state the earlier
+/// ones left it). After the prelude every rank passes the same gate, where
+/// local rank 0 admits the job and builds its IorJob (the detuned stripe
+/// hint must be known first), then runs the job body.
+sim::Task fleet_rank_main(Rig& rig, const JobPlan& plan,
+                          std::vector<JobSlot>& slots, int world_rank,
+                          plfs::Plfs* plfs, std::uint64_t seed,
+                          sim::Event* setup_done,
+                          AdmissionController* admission) {
+  const std::size_t color = plan.color_of(world_rank);
   JobSlot& slot = slots[color];
+  int rank = world_rank - slot.base;
   if (setup_done != nullptr && !setup_done->fired()) {
     co_await setup_done->wait();
   }
-  if (slot.spec->arrival > 0.0) {
+  if (plan.together) {
+    mpi::Communicator& world = rig.rt.world();
+    co_await world.barrier(world_rank);
+    const auto sr =
+        co_await world.split(world_rank, static_cast<int>(color), world_rank);
+    slot.comm = sr.comm;
+    rank = sr.rank;
+  } else if (slot.spec->arrival > 0.0) {
     co_await rig.eng.delay(slot.spec->arrival);
   }
-  // Under admission control the job's IorJob is built lazily by local rank
-  // 0 once the controller releases it (the detuned stripe hint must be
-  // known first); without it the pre-built job is used untouched, keeping
-  // the historical event sequence bit for bit.
-  if (admission != nullptr) {
-    if (local_rank == 0) {
-      const std::uint32_t detuned = co_await admission->admit(*slot.spec);
+  if (slot.ready != nullptr) {
+    if (rank == 0) {
+      std::uint32_t detuned = 0;
+      if (admission != nullptr) detuned = co_await admission->admit(*slot.spec);
+      // Probe layouts are not stripe-tunable; admission can only delay them.
       if (slot.spec->kind != JobKind::probe_writer) {
         ior::Config cfg = slot.spec->ior;
         if (detuned != 0) cfg.hints.striping_factor = detuned;
@@ -594,10 +554,9 @@ sim::Task fleet_rank_main_staggered(Rig& rig, std::vector<JobSlot>& slots,
     }
   }
   if (slot.spec->kind == JobKind::probe_writer) {
-    co_await probe_writer_body(rig, slot, local_rank,
-                               rig.rt.client(world_rank), seed);
+    co_await probe_writer_body(rig, slot, rank, rig.rt.client(world_rank), seed);
   } else {
-    co_await slot.job->run_rank(local_rank, rig.rt.client(world_rank));
+    co_await slot.job->run_rank(rank, rig.rt.client(world_rank));
   }
   if (admission != nullptr && slot.finished()) admission->finished(*slot.spec);
 }
@@ -615,8 +574,7 @@ ior::Result probe_slot_result(const JobSlot& slot) {
   return r;
 }
 
-/// The general executor: any job list with more than one rank-carrying job
-/// (or any staggered arrival / in-fleet probe writers).
+/// The fleet executor: every scenario except the legacy Fig. 2 probe.
 Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   Rig rig(s, plan.total_ranks, seed, plan.noise_jobs);
   std::unique_ptr<plfs::Plfs> plfs;
@@ -633,28 +591,27 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
         rig.eng, s.admission, s.platform, rig.recorder.get());
   }
 
+  // Free-running jobs never comm_split, so each gets its own world.
+  std::deque<mpi::Communicator> free_comms;
   std::vector<JobSlot> slots(plan.rank_jobs.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].spec = plan.rank_jobs[i];
-    slots[i].base = plan.first_rank[i];
-    if (slots[i].spec->kind == JobKind::probe_writer) {
-      slots[i].writer_mbps.assign(static_cast<std::size_t>(slots[i].spec->nprocs), 0.0);
-      slots[i].writer_time.assign(static_cast<std::size_t>(slots[i].spec->nprocs), 0.0);
-    } else if (plan.synchronized) {
-      slots[i].ready = std::make_unique<sim::Event>(rig.eng);
-    } else {
-      // Free-running jobs never comm_split, so each gets its own world.
-      slots[i].comm = std::make_unique<mpi::Communicator>(
-          rig.eng, slots[i].spec->nprocs);
-      if (admission == nullptr) {
-        slots[i].job = std::make_unique<ior::IorJob>(
-            *slots[i].comm, rig.fs, slots[i].spec->ior,
-            slots[i].spec->kind == JobKind::plfs ? plfs.get() : nullptr);
-      }
+    JobSlot& slot = slots[i];
+    slot.spec = plan.rank_jobs[i];
+    slot.base = plan.first_rank[i];
+    const bool probe = slot.spec->kind == JobKind::probe_writer;
+    if (probe) {
+      slot.writer_mbps.assign(static_cast<std::size_t>(slot.spec->nprocs), 0.0);
+      slot.writer_time.assign(static_cast<std::size_t>(slot.spec->nprocs), 0.0);
+    } else if (!plan.together) {
+      slot.comm = &free_comms.emplace_back(rig.eng, slot.spec->nprocs);
     }
-    // Gated jobs release their ranks through a per-slot event.
-    if (admission != nullptr && slots[i].ready == nullptr) {
-      slots[i].ready = std::make_unique<sim::Event>(rig.eng);
+    if (admission != nullptr || (plan.together && !probe)) {
+      slot.ready = std::make_unique<sim::Event>(rig.eng);
+    } else if (!probe) {
+      // Free-running and ungated: nothing to wait for, build it up front.
+      slot.job = std::make_unique<ior::IorJob>(
+          *slot.comm, rig.fs, slot.spec->ior,
+          slot.spec->kind == JobKind::plfs ? plfs.get() : nullptr);
     }
   }
 
@@ -681,20 +638,10 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
     return std::all_of(slots.begin(), slots.end(),
                        [](const JobSlot& slot) { return slot.finished(); });
   });
-  if (plan.synchronized) {
-    rig.rt.run_to_completion([&](int world_rank) -> sim::Task {
-      return fleet_rank_main_sync(rig, plan, slots, world_rank, plfs.get(),
-                                  seed, setup_done.get(), admission.get());
-    });
-  } else {
-    rig.rt.run_to_completion([&](int world_rank) -> sim::Task {
-      const std::size_t color = plan.color_of(world_rank);
-      return fleet_rank_main_staggered(rig, slots, color,
-                                       world_rank - slots[color].base,
-                                       world_rank, plfs.get(), seed,
-                                       setup_done.get(), admission.get());
-    });
-  }
+  rig.rt.run_to_completion([&](int world_rank) -> sim::Task {
+    return fleet_rank_main(rig, plan, slots, world_rank, plfs.get(), seed,
+                           setup_done.get(), admission.get());
+  });
 
   Observation obs;
   std::vector<lustre::InodeId> files;
@@ -724,41 +671,11 @@ Observation run_fleet(const Scenario& s, JobPlan plan, std::uint64_t seed) {
   }
   mean /= static_cast<double>(slots.size());
   obs.ior = obs.per_job.front();
-  obs.ior.write_mbps = mean;
+  // A lone job reports its own result; a fleet, the per-job mean.
+  if (slots.size() > 1) obs.ior.write_mbps = mean;
   obs.metric = mean;
   obs.contention = core::observe(rig.fs.ost_occupancy(files));
   if (admission != nullptr) obs.admissions = admission->take_records();
-  rig.finish_ctrl(obs, s);
-  rig.export_bandwidth(obs);
-  rig.finish_trace(obs, s, seed);
-  return obs;
-}
-
-/// Single ior/plfs job arriving at t = 0: the historical single-job data
-/// path, with no barrier/split latency (pinned by the Fig. 1 goldens).
-Observation run_single(const Scenario& s, const JobPlan& plan,
-                       std::uint64_t seed) {
-  const JobSpec& spec = *plan.rank_jobs.front();
-  Rig rig(s, spec.nprocs, seed, plan.noise_jobs);
-  std::unique_ptr<plfs::Plfs> plfs;
-  if (spec.ior.hints.driver == mpiio::Driver::ad_plfs) {
-    plfs = std::make_unique<plfs::Plfs>(rig.fs);
-  }
-  ior::IorJob job(rig.rt.world(), rig.fs, spec.ior, plfs.get());
-  rig.start_sampler([&job] { return job.finished(); });
-  rig.rt.run_to_completion([&](int rank) -> sim::Task {
-    return job.rank_main(rank, rig.rt.client(rank));
-  });
-
-  Observation obs;
-  obs.ior = job.result();
-  obs.metric = headline_metric(spec.ior, obs.ior);
-  obs.per_job.push_back(obs.ior);
-  obs.total_mbps = obs.metric;
-  if (spec.kind == JobKind::plfs) {
-    const auto data_files = plfs->backend_data_files(spec.ior.test_file);
-    obs.contention = core::observe(rig.fs.ost_occupancy(data_files));
-  }
   rig.finish_ctrl(obs, s);
   rig.export_bandwidth(obs);
   rig.finish_trace(obs, s, seed);
@@ -804,15 +721,19 @@ Observation run_probe(const Scenario& s, const JobPlan& plan,
 
 /// True when the job list is the historical probe benchmark's shape: all
 /// probe writers, synchronised start, one writer per job with consecutive
-/// ids from 0, uniform payload, and one shared (or seed-derived) target.
+/// ids from 0, uniform payload, and one shared (or seed-derived) target —
+/// and the run asks for nothing run_probe lacks (a sampler, a controller,
+/// an admission gate).
 bool is_legacy_probe(const JobPlan& plan, const Scenario& s) {
-  if (plan.rank_jobs.empty() || !plan.synchronized) return false;
-  if (s.telemetry_interval > 0.0 || s.trace.interval > 0.0) return false;
+  if (plan.rank_jobs.empty() || s.trace.interval > 0.0) return false;
   if (s.ctrl.mode != ctrl::CtrlMode::off) return false;
+  if (s.admission.policy != AdmissionPolicy::always) return false;
   const JobSpec& first = *plan.rank_jobs.front();
   for (std::size_t i = 0; i < plan.rank_jobs.size(); ++i) {
     const JobSpec& j = *plan.rank_jobs[i];
-    if (j.kind != JobKind::probe_writer || j.nprocs != 1) return false;
+    if (j.kind != JobKind::probe_writer || j.nprocs != 1 || j.arrival != 0.0) {
+      return false;
+    }
     if (j.job_id != static_cast<lustre::sched::JobId>(i)) return false;
     if (j.bytes != first.bytes || j.transfer_size != first.transfer_size ||
         j.target_ost != first.target_ost) {
@@ -849,21 +770,6 @@ void apply_trace_env(Scenario& s) {
 
 }  // namespace
 
-void spawn_noise(lustre::FileSystem& fs,
-                 std::vector<std::unique_ptr<lustre::Client>>& clients,
-                 const NoiseSpec& noise, std::uint64_t seed) {
-  for (unsigned w = 0; w < noise.writers; ++w) {
-    JobSpec j;
-    j.kind = JobKind::noise;
-    j.job_id = lustre::sched::kNoiseJobBase + w;
-    j.bytes = noise.bytes_per_writer;
-    j.transfer_size = noise.transfer_size;
-    j.stripes = noise.stripes;
-    j.stripe_size = noise.stripe_size;
-    spawn_noise_job(fs, clients, j, seed);
-  }
-}
-
 Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   Scenario effective = scenario;
   apply_trace_env(effective);
@@ -874,19 +780,9 @@ Observation run_scenario(const Scenario& scenario, std::uint64_t seed) {
   PFSC_REQUIRE(!plan.rank_jobs.empty(),
                "Scenario: needs at least one non-noise job");
 
-  Observation obs;
-  const JobSpec& first = *plan.rank_jobs.front();
-  const bool single_at_root =
-      plan.rank_jobs.size() == 1 && plan.synchronized &&
-      first.kind != JobKind::probe_writer &&
-      first.ior.test_file.find('/', 1) == std::string::npos;
-  if (is_legacy_probe(plan, s)) {
-    obs = run_probe(s, plan, seed);
-  } else if (single_at_root) {
-    obs = run_single(s, plan, seed);
-  } else {
-    obs = run_fleet(s, std::move(plan), seed);
-  }
+  Observation obs = is_legacy_probe(plan, s)
+                        ? run_probe(s, plan, seed)
+                        : run_fleet(s, std::move(plan), seed);
   obs.workload = scenario.job_list.empty() ? scenario.workload : Workload::jobs;
   obs.seed = seed;
   if (obs.jobs.empty()) obs.jobs = s.jobs_desugared();

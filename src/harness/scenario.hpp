@@ -1,24 +1,33 @@
 // Unified scenario description for the experiment harness.
 //
-// A Scenario says *what to run*. Since PR 6 the primitive is the **job
-// list**: a Scenario is a vector of JobSpec — each an independent
-// application (an IOR job, a PLFS-backed IOR job, a single-OST probe
-// writer, or a background noise writer) with its own JobId, configuration
-// and arrival offset. `run_scenario(scenario, seed)` builds a fresh engine
-// + file system + runtime from the seed, runs every job to completion, and
+// A Scenario says *what to run*. The primitive is the **job list**: a
+// Scenario is a vector of JobSpec — each an independent application (an
+// IOR job, a PLFS-backed IOR job, a single-OST probe writer, or a
+// background noise writer) with its own JobId, configuration and arrival
+// offset. `run_scenario(scenario, seed)` builds a fresh engine + file
+// system + runtime from the seed, runs every job to completion, and
 // returns an Observation. Fresh-state-per-run keeps repetitions
 // independent, exactly like resubmitting a batch job — and is what lets
 // ParallelRunner execute plan points on concurrent threads with
 // bit-identical per-seed results.
 //
-// The pre-PR-6 closed `Workload` enum survives as sugar: the enum plus the
-// single-job fields describe the four historical shapes, and `jobs()`
-// desugars them into the equivalent job list. The factory helpers
-// (`Scenario::single_ior`, `::plfs_ior`, `::multi`, `::probe`) construct
-// those shapes; `Scenario::from_jobs` builds an explicit job-list scenario
-// (what `replay::to_scenario` and the fleet generator produce). Execution
-// is always job-list driven — desugared legacy shapes reproduce the
-// historical event sequences bit for bit (pinned by the golden tests).
+// The closed `Workload` enum survives as sugar: the enum plus the
+// single-job fields describe the four historical shapes, and
+// `jobs_desugared()` turns them into the equivalent job list. The factory
+// helpers (`Scenario::single_ior`, `::plfs_ior`, `::multi`, `::probe`)
+// construct those shapes; `Scenario::from_jobs` builds an explicit
+// job-list scenario (what `replay::to_scenario` and the fleet generator
+// produce). The factories are lazy: they only set fields, so callers may
+// edit `nprocs`, `ior`, ... afterwards.
+//
+// Execution takes one of two routes. The Fig. 2 probe shape (all
+// single-writer probe jobs, ids 0..n-1, synchronised, no sampler,
+// controller or admission gate) runs the legacy probe benchmark, whose
+// event sequence the Fig. 2 goldens pin. Everything else runs on the
+// fleet executor: jobs that start together (more than one, all at t = 0)
+// barrier on the world and comm_split; any other plan — a lone job
+// included — runs free, each job on its own communicator from its own
+// arrival.
 //
 // Sweeps and repetitions over a Scenario are described by harness::RunPlan
 // (run_plan.hpp) and executed by harness::ParallelRunner (runner.hpp).
@@ -59,11 +68,12 @@ struct JobSpec {
   /// Application label for fleet reports ("ior", "checkpoint", ...).
   /// Empty: the kind name.
   std::string app;
-  /// Simulated-time offset at which the job starts. All-zero arrivals mean
-  /// a synchronised start (the paper's simultaneous-submission design: a
-  /// world barrier before the jobs split off); any positive arrival makes
-  /// the whole scenario free-running — each job begins at its own offset
-  /// with no cross-job barrier.
+  /// Simulated-time offset at which the job starts. Several rank-carrying
+  /// jobs all arriving at 0 mean a synchronised start (the paper's
+  /// simultaneous-submission design: a world barrier before the jobs split
+  /// off); any positive arrival, or a lone job, makes the whole scenario
+  /// free-running — each job begins at its own offset with no cross-job
+  /// barrier.
   Seconds arrival = 0.0;
 
   // -- ior / plfs --------------------------------------------------------
@@ -92,10 +102,9 @@ struct JobSpec {
 // ---------------------------------------------------------------------------
 // Background noise (deprecated alias).
 //
-// Noise writers are ordinary background jobs since PR 6: a NoiseSpec with
+// Noise writers are ordinary background jobs: a NoiseSpec with
 // `writers == n` desugars to n JobKind::noise entries with JobIds
-// kNoiseJobBase + i appended to the job list (see Scenario::jobs()). The
-// struct and `spawn_noise` remain for source compatibility.
+// kNoiseJobBase + i appended to the job list (see jobs_desugared()).
 // ---------------------------------------------------------------------------
 struct NoiseSpec {
   unsigned writers = 0;
@@ -104,15 +113,6 @@ struct NoiseSpec {
   std::uint32_t stripes = 2;  // background users rarely tune
   Bytes stripe_size = 1_MiB;
 };
-
-/// Spawn the background writers on `fs` (each an independent client with a
-/// default-layout file, started immediately). The engine owns the spawned
-/// processes; `clients` receives ownership of the Client objects and must
-/// outlive the run. Deprecated: prefer JobKind::noise entries in the job
-/// list, which run_scenario spawns itself (with arrival-offset support).
-void spawn_noise(lustre::FileSystem& fs,
-                 std::vector<std::unique_ptr<lustre::Client>>& clients,
-                 const NoiseSpec& noise, std::uint64_t seed);
 
 // ---------------------------------------------------------------------------
 // Scenario: what to run.
@@ -155,10 +155,11 @@ struct Scenario {
   /// Deprecated alias: desugars to JobKind::noise entries (see jobs()).
   NoiseSpec noise;  // writers == 0: quiet system
 
-  /// Model-driven admission control for fleet runs (admission.hpp). The
-  /// default `always` is bit-for-bit invisible: no controller is built and
-  /// jobs start exactly as before. Only the fleet route consults this;
-  /// single-job and probe scenarios ignore it.
+  /// Model-driven admission control (admission.hpp). The default `always`
+  /// is bit-for-bit invisible: no controller is built and jobs start
+  /// exactly as before. Any other policy gates every rank-carrying job, a
+  /// lone job included (a probe-shaped list then leaves the legacy probe
+  /// route for the fleet executor, which applies the gate).
   AdmissionConfig admission;
 
   /// Online adaptive tuning (ctrl/controller.hpp). The default mode `off`
@@ -166,16 +167,13 @@ struct Scenario {
   /// engine events are added.
   ctrl::CtrlConfig ctrl;
 
-  /// > 0: attach a telemetry sampler at this interval and return the
-  /// aggregate-bandwidth timeline in Observation::bandwidth.
-  Seconds telemetry_interval = 0.0;
-
   /// Event tracing (trace::Recorder attached to the run's engine).
   /// mode off (the default) is bit-for-bit invisible: no recorder exists
   /// and every instrumentation hook is a single null-pointer test.
-  /// `trace.interval` > 0 additionally attaches a periodic sampler
-  /// mirroring the standard fabric/scheduler/total-bytes instrument packs
-  /// into the trace. Overridable per run through the PFSC_TRACE,
+  /// `trace.interval` > 0 additionally attaches the run's one periodic
+  /// sampler, mirroring the standard fabric/scheduler/total-bytes
+  /// instrument packs into the trace; its total-bytes series also yields
+  /// Observation::bandwidth. Overridable per run through the PFSC_TRACE,
   /// PFSC_TRACE_OUT and PFSC_TRACE_INTERVAL environment variables (only
   /// consulted when this field is off, so code wins over environment).
   trace::TraceConfig trace;
@@ -216,8 +214,8 @@ struct Observation {
   /// analytics joins per_job results against.
   std::vector<JobSpec> jobs;
 
-  /// ior/plfs: the job's result. multi/jobs: aggregate with write_mbps set
-  /// to the per-job mean. probe: unused.
+  /// One rank-carrying job: its result. Several: the first job's result
+  /// with write_mbps set to the per-job mean. Legacy probe: unused.
   ior::Result ior;
   /// One result per rank-carrying job (ior/plfs/probe_writer), in job-list
   /// order — populated for every workload since PR 6 (a single IOR run is
@@ -226,12 +224,14 @@ struct Observation {
   /// Sum of the per-job headline metrics. Populated for every workload
   /// since PR 6 (fleet aggregation needs no per-kind special cases).
   double total_mbps = 0.0;
-  /// plfs: per-OST data-file occupancy census. multi/jobs: cross-job OST
-  /// census over every job's files.
+  /// Per-OST occupancy census over every job's data files (plfs: the
+  /// backend data files). Fleet route only; empty for the legacy probe.
   core::ObservedContention contention;
-  /// probe only.
+  /// Legacy probe route only.
   ior::ProbeResult probe;
-  /// Aggregate-bandwidth timeline when telemetry_interval > 0.
+  /// Aggregate-bandwidth timeline: Sampler::bandwidth_timeline of the
+  /// trace sampler's total-bytes series (trace.mode != off and
+  /// trace.interval > 0; empty otherwise).
   trace::Series bandwidth;
 
   /// Admission decisions in release order (empty when scenario.admission is

@@ -183,41 +183,27 @@ void FairSharePipe::complete_due() {
   }
 }
 
-/// Parks the persistent timer coroutine and arms it for the earliest
-/// completion. Publishing the handle from await_suspend (rather than
-/// spawning the coroutine armed) closes the construction-order gap: flows
-/// that join before the timer root's first dispatch find timer_h_ null,
-/// and this arm() catches up for them.
-struct FairShareTimerPark {
-  FairSharePipe& pipe;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    pipe.timer_h_ = h;
-    pipe.arm();
-  }
-  void await_resume() const noexcept {
-    pipe.timer_token_ = WakeToken{};  // this wakeup just fired
-  }
-};
-
-/// (Re-)schedule the timer for the earliest completion: cancel the pending
-/// wakeup by token and schedule a fresh one. No-op until the timer
-/// coroutine has parked for the first time (it re-arms itself on parking).
+/// Cancel the pending wakeup by token and schedule a fresh one for the
+/// earliest completion.
 void FairSharePipe::arm() {
   eng_->cancel_scheduled(std::exchange(timer_token_, WakeToken{}));
-  if (flows_.empty() || !timer_h_) return;
+  if (flows_.empty()) return;
+  if (!timer_.valid()) timer_ = timer_loop();
   const double remaining_v = flows_.front().finish_v - vtime_;
   const Seconds dt = std::max(0.0, remaining_v / speed(flows_.size()));
-  timer_token_ = eng_->schedule_after(timer_h_, dt);
+  timer_token_ = eng_->schedule_after(timer_.handle(), dt);
 }
 
-/// The pipe's one timer coroutine: parks, and on each wakeup settles all
-/// due completions. Re-parking re-arms for whatever is due next.
+/// The pipe's one timer coroutine: never spawned, only scheduled. Each
+/// wakeup settles all due completions and re-arms for whatever is due
+/// next; the first dispatch starts the body from its initial suspension.
 Task FairSharePipe::timer_loop() {
   for (;;) {
-    co_await FairShareTimerPark{*this};
+    timer_token_ = WakeToken{};  // this wakeup just fired
     advance_clock();
     complete_due();
+    arm();
+    co_await std::suspend_always{};
   }
 }
 

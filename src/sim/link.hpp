@@ -257,11 +257,12 @@ class FifoPipe final : public LinkModel {
 /// dV/dt = g(n) orders every completion: a flow of `bytes` arriving at
 /// virtual time V_a finishes when V reaches V_a + bytes/rate. Arrivals and
 /// departures each cost one heap operation plus an O(1) clock advance. One
-/// persistent timer coroutine sleeps until the earliest completion; every
-/// change to the earliest completion cancels its pending wakeup by token
-/// (Engine::cancel_scheduled) and re-schedules it, so re-arming costs two
-/// queue operations instead of the coroutine spawn per arrival/departure
-/// the old generation-counted timer paid. With a per-message latency a
+/// persistent timer coroutine, created when the first flow joins (an idle
+/// pipe costs no frame and no event), sleeps until the earliest
+/// completion; every change to the earliest completion cancels its pending
+/// wakeup by token (Engine::cancel_scheduled) and re-schedules it, so
+/// re-arming costs two queue operations instead of a coroutine spawn per
+/// arrival/departure. With a per-message latency a
 /// flow first waits out its latency hop in `hop_`; the relay coroutine
 /// joins it to the sharing set when the hop ends (every hop lasts the
 /// same, so hops end in arrival order).
@@ -271,7 +272,6 @@ class FairSharePipe final : public LinkModel {
                 Seconds per_message_latency = 0.0, std::size_t channels = 1)
       : LinkModel(eng, rate, per_message_latency, channels) {
     flows_.reserve(64);
-    eng.spawn(timer_loop());
   }
   ~FairSharePipe() override { eng_->cancel_scheduled(timer_token_); }
 
@@ -310,10 +310,10 @@ class FairSharePipe final : public LinkModel {
   /// Add `transfer` to the sharing set.
   void join(Transfer& transfer);
   void complete_due();
+  /// (Re-)schedule the timer for the earliest completion, creating the
+  /// timer coroutine on first use.
   void arm();
   Task timer_loop();
-
-  friend struct FairShareTimerPark;
 
   FlowQueue hop_;            // flows inside the latency hop, oldest first
   std::vector<Flow> flows_;  // min-heap on (finish_v, id) via LaterFinish
@@ -321,8 +321,8 @@ class FairSharePipe final : public LinkModel {
   Seconds last_update_ = 0.0;
   Seconds busy_time_ = 0.0;  // integral of min(n, channels)/channels dt
   std::uint64_t next_flow_id_ = 0;
-  std::coroutine_handle<> timer_h_;  // parked persistent timer coroutine
-  WakeToken timer_token_;            // its pending wakeup; null when unarmed
+  Task timer_;            // the timer coroutine; invalid until first armed
+  WakeToken timer_token_;  // its pending wakeup; null when unarmed
 };
 
 /// Construct the link implementation selected by `policy`.

@@ -159,6 +159,55 @@ TEST(AdmissionPolicyTest, DetuneReducesStripesInsteadOfWaiting) {
   EXPECT_GT(detuned, 0u);
 }
 
+TEST(AdmissionPolicyTest, ProbeShapedListPassesTheGate) {
+  // The Fig. 2 shape under a gating policy leaves the legacy probe route
+  // for the fleet executor, so every writer passes the gate.
+  Scenario s = Scenario::probe(4, 8_MiB);
+  s.platform = hw::tiny_test_platform();
+  s.admission.policy = AdmissionPolicy::threshold;
+  s.admission.max_dload = 1.0;
+  const Observation obs = run_scenario(s, 3);
+  ASSERT_EQ(obs.per_job.size(), 4u);
+  ASSERT_EQ(obs.admissions.size(), 4u);
+  unsigned delayed = 0;
+  for (const AdmissionRecord& rec : obs.admissions) {
+    if (rec.action == AdmissionAction::delayed) ++delayed;
+    EXPECT_EQ(rec.stripes_before, 0u);  // probe layouts are not tunable
+    EXPECT_TRUE(rec.predicted_dload <= s.admission.max_dload + 1e-9 ||
+                rec.running_before == 0);
+  }
+  EXPECT_GT(delayed, 0u);
+  for (const ior::Result& r : obs.per_job) EXPECT_GT(r.write_mbps, 0.0);
+}
+
+TEST(AdmissionPolicyTest, LoneJobPassesTheDetuneGate) {
+  // A lone IOR job runs on the fleet route too: detune reduces its
+  // stripes, and the census counts the layout it ran with.
+  ior::Config cfg;
+  cfg.file_per_process = true;
+  cfg.hints.driver = mpiio::Driver::ad_lustre;
+  cfg.hints.striping_factor = 8;
+  cfg.block_size = 2_MiB;
+  cfg.transfer_size = 1_MiB;
+  cfg.segment_count = 1;
+  Scenario s = Scenario::single_ior(cfg);
+  s.platform = hw::tiny_test_platform();
+  s.nprocs = 8;
+  s.procs_per_node = 4;
+  s.admission.policy = AdmissionPolicy::detune;
+  s.admission.max_dload = 1.5;
+  const Observation obs = run_scenario(s, 5);
+  ASSERT_EQ(obs.admissions.size(), 1u);
+  const AdmissionRecord& rec = obs.admissions.front();
+  EXPECT_EQ(rec.action, AdmissionAction::detuned);
+  EXPECT_EQ(rec.stripes_before, 8u);
+  EXPECT_LT(rec.stripes_after, 8u);
+  EXPECT_EQ(rec.running_before, 0u);
+  EXPECT_EQ(obs.ior.err, lustre::Errno::ok);
+  EXPECT_GT(obs.ior.write_mbps, 0.0);
+  EXPECT_EQ(obs.contention.d_req, 8.0 * rec.stripes_after);
+}
+
 // -- controller-level fuzz ---------------------------------------------------
 
 struct FuzzJob {

@@ -117,16 +117,31 @@ TEST(Noise, BackgroundWritersConsumeBandwidth) {
 }
 
 TEST(Noise, WritersActuallyWriteData) {
-  sim::Engine eng;
-  lustre::FileSystem fs(eng, hw::tiny_test_platform(), 5);
-  std::vector<std::unique_ptr<lustre::Client>> clients;
-  harness::NoiseSpec noise;
-  noise.writers = 3;
-  noise.bytes_per_writer = 8_MiB;
-  harness::spawn_noise(fs, clients, noise, 1);
-  eng.run();
-  EXPECT_EQ(fs.total_bytes_written(), 3u * 8_MiB);
-  EXPECT_EQ(clients.size(), 3u);
+  // Three noise entries beside a small IOR job: each writer's bytes reach
+  // the OSS schedulers under its own JobId.
+  harness::JobSpec ior_job;
+  ior_job.nprocs = 4;
+  ior_job.ior = small(mpiio::Driver::ad_lustre);
+  std::vector<harness::JobSpec> jobs{ior_job};
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    harness::JobSpec noise;
+    noise.kind = harness::JobKind::noise;
+    noise.job_id = lustre::sched::kNoiseJobBase + w;
+    noise.bytes = 8_MiB;
+    jobs.push_back(noise);
+  }
+  harness::Scenario spec = harness::Scenario::from_jobs(std::move(jobs));
+  spec.platform = hw::tiny_test_platform();
+  spec.procs_per_node = 4;
+  spec.trace.mode = trace::TraceMode::summary;
+  const harness::Observation obs = harness::run_scenario(spec, 1);
+  const auto& served = obs.trace_summary.job_bytes;
+  ASSERT_EQ(served.size(), 4u);
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    const auto it = served.find(lustre::sched::kNoiseJobBase + w);
+    ASSERT_NE(it, served.end()) << "noise writer " << w;
+    EXPECT_EQ(it->second, 8_MiB) << "noise writer " << w;
+  }
 }
 
 }  // namespace

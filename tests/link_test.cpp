@@ -270,10 +270,11 @@ TEST(LinkHandOff, FairShareLatencyHopPrecedesSharing) {
   ASSERT_EQ(log.size(), 5u);
   const std::vector<std::string> order{"by1", "by2", "a", "b", "c"};
   const std::vector<Seconds> times{0.5, 3.25, 3.25, 3.25, 3.5};
-  // Events: 5 root starts (the pipe's timer first); a, b, c's start delay
-  // and by1 at 0.5 (6-9); c's join at 1 (10); by2 (11); the timer (12)
-  // resumes a and b (13, 14); the re-armed timer (15) resumes c (16).
-  const std::vector<std::uint64_t> events{9, 11, 13, 14, 16};
+  // Events: 4 root starts (the pipe's timer is created at the first join,
+  // not started at t=0); a, b, c's start delay and by1 at 0.5 (5-8); c's
+  // join at 1 (9); by2 (10); the timer (11) resumes a and b (12, 13); the
+  // re-armed timer (14) resumes c (15).
+  const std::vector<std::uint64_t> events{8, 10, 12, 13, 15};
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].who, order[i]) << i;
     EXPECT_DOUBLE_EQ(log[i].t, times[i]) << i;

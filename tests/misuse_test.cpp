@@ -104,10 +104,10 @@ TEST(Misuse, ScenarioGuards) {
   plfs_spec.workload = harness::Workload::plfs;
   EXPECT_THROW(plfs_spec.validate(), UsageError);
 
-  harness::Scenario probe_telemetry;  // probe does not support telemetry
-  probe_telemetry.workload = harness::Workload::probe;
-  probe_telemetry.telemetry_interval = 1.0;
-  EXPECT_THROW(probe_telemetry.validate(), UsageError);
+  harness::Scenario probe_sampler;  // probe does not host a sampler
+  probe_sampler.workload = harness::Workload::probe;
+  probe_sampler.trace.interval = 1.0;
+  EXPECT_THROW(probe_sampler.validate(), UsageError);
 
   harness::Scenario no_procs;
   no_procs.nprocs = 0;

@@ -4,10 +4,14 @@
 // and traced runs stay deterministic across ParallelRunner thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "lustre/client.hpp"
@@ -156,6 +160,47 @@ TEST(TraceIntegration, TracingOffIsInvisible) {
     EXPECT_EQ(obs_off.per_job[j].write_time, obs_full.per_job[j].write_time);
     EXPECT_EQ(obs_off.per_job[j].write_mbps, obs_full.per_job[j].write_mbps);
   }
+}
+
+TEST(TraceIntegration, BandwidthIsTheTraceSamplersTotalBytesTimeline) {
+  // `--trace summary --trace_interval X` attaches the run's one sampler;
+  // Observation::bandwidth differentiates its total-bytes series, which
+  // the counters CSV records on the "sampler" track.
+  Scenario s = small_multi();
+  harness::RunPlan plan;
+  unsigned threads = 0;
+  const std::string csv = ::testing::TempDir() + "pfsc_bandwidth.csv";
+  std::vector<std::string> args = {"prog",          "--trace",
+                                   "summary",       "--trace_interval",
+                                   "0.0078125",     "--trace_out",
+                                   csv};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  harness::cli::scenario_flags(s, plan, threads)
+      .parse(static_cast<int>(argv.size()), argv.data(), 1);
+  const Observation obs = run_scenario(s, /*seed=*/9);
+
+  trace::Series total;
+  std::ifstream in(csv);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));  // header
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::string t, track, name, value;
+    std::getline(row, t, ',');
+    std::getline(row, track, ',');
+    std::getline(row, name, ',');
+    std::getline(row, value, ',');
+    if (track != "sampler" || name != "total_bytes") continue;
+    total.at.push_back(std::stod(t));
+    total.value.push_back(std::stod(value));
+  }
+  std::remove(csv.c_str());
+  ASSERT_GE(total.size(), 3u);
+  const trace::Series expected = trace::Sampler::bandwidth_timeline(total);
+  ASSERT_FALSE(expected.at.empty());
+  EXPECT_EQ(obs.bandwidth.at, expected.at);
+  EXPECT_EQ(obs.bandwidth.value, expected.value);
 }
 
 TEST(TraceIntegration, TraceIdenticalAcrossRunnerThreadCounts) {
