@@ -43,7 +43,7 @@ BENCHMARK(BM_EngineEventDispatch)->Arg(1000)->Arg(100000);
 // events; each step pops the minimum and schedules a replacement a random
 // increment into the future. This isolates the queue from coroutine cost
 // and is the ≥1.5x events/sec gate in .github/bench-baseline.json (the
-// heap pays O(log n) comparisons per operation, the ladder O(1)).
+// heap pays O(log n) comparisons per operation, the radix queue O(1)).
 void BM_EventQueueHold(benchmark::State& state, sim::EventQueuePolicy policy) {
   const int population = static_cast<int>(state.range(0));
   auto q = sim::make_event_queue(policy);
@@ -64,7 +64,7 @@ BENCHMARK_CAPTURE(BM_EventQueueHold, binary_heap,
                   sim::EventQueuePolicy::binary_heap)
     ->Arg(1024)
     ->Arg(65536);
-BENCHMARK_CAPTURE(BM_EventQueueHold, ladder, sim::EventQueuePolicy::ladder)
+BENCHMARK_CAPTURE(BM_EventQueueHold, radix, sim::EventQueuePolicy::radix)
     ->Arg(1024)
     ->Arg(65536);
 
@@ -87,7 +87,7 @@ void BM_EngineManyTimers(benchmark::State& state,
 BENCHMARK_CAPTURE(BM_EngineManyTimers, binary_heap,
                   sim::EventQueuePolicy::binary_heap)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_EngineManyTimers, ladder, sim::EventQueuePolicy::ladder)
+BENCHMARK_CAPTURE(BM_EngineManyTimers, radix, sim::EventQueuePolicy::radix)
     ->Arg(4096);
 
 // -- coroutine frame churn ---------------------------------------------------
@@ -140,7 +140,7 @@ void BM_Fig3FourJobs(benchmark::State& state, sim::EventQueuePolicy policy) {
     benchmark::DoNotOptimize(obs.total_mbps);
   }
   // One item = one full Fig. 3 run, so items_per_second is 1/wall-clock and
-  // the ladder/heap ratio in bench-baseline.json reads as the end-to-end
+  // the radix/heap ratio in bench-baseline.json reads as the end-to-end
   // speedup.
   state.SetItemsProcessed(state.iterations());
 }
@@ -148,14 +148,14 @@ BENCHMARK_CAPTURE(BM_Fig3FourJobs, binary_heap,
                   sim::EventQueuePolicy::binary_heap)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig3FourJobs, ladder, sim::EventQueuePolicy::ladder)
+BENCHMARK_CAPTURE(BM_Fig3FourJobs, radix, sim::EventQueuePolicy::radix)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
 // The same Fig. 3 quartet with the adaptive controller dialled in. The
-// ctrl_off capture is the exact BM_Fig3FourJobs/ladder scenario spelled
+// ctrl_off capture is the exact BM_Fig3FourJobs/radix scenario spelled
 // through the ctrl config (mode off constructs no controller and adds no
-// engine events), so its ratio against BM_Fig3FourJobs/ladder in
+// engine events), so its ratio against BM_Fig3FourJobs/radix in
 // bench-baseline.json is the "a disabled control plane costs nothing"
 // gate. The ctrl_pfl capture prices the active controller: a 10 ms tick
 // loop plus the layout retunes it decides on.
@@ -164,7 +164,7 @@ void BM_AdaptiveQuartet(benchmark::State& state, ctrl::CtrlMode mode) {
   s.ior.hints.driver = mpiio::Driver::ad_lustre;
   s.ior.hints.striping_factor = 160;
   s.ior.hints.striping_unit = 128_MiB;
-  s.platform.event_queue = sim::EventQueuePolicy::ladder;
+  s.platform.event_queue = sim::EventQueuePolicy::radix;
   s.ctrl.mode = mode;
   s.ctrl.interval = 0.01;
   s.ctrl.cooldown = 0.02;

@@ -53,8 +53,8 @@ lustre::sched::SchedPolicy parse_sched_policy(std::string_view flag,
 sim::EventQueuePolicy parse_event_queue_policy(std::string_view flag,
                                                std::string_view text) {
   if (text == "binary_heap") return sim::EventQueuePolicy::binary_heap;
-  if (text == "ladder") return sim::EventQueuePolicy::ladder;
-  bad_value(flag, text, "expected one of: binary_heap, ladder");
+  if (text == "radix") return sim::EventQueuePolicy::radix;
+  bad_value(flag, text, "expected one of: binary_heap, radix");
 }
 
 trace::TraceMode parse_trace_mode(std::string_view flag, std::string_view text) {
@@ -323,7 +323,7 @@ FlagTable scenario_flags(Scenario& scenario, RunPlan& plan, unsigned& threads) {
               scenario.admission.min_stripes = static_cast<std::uint32_t>(v);
             });
   table.add("--event_queue", "POLICY",
-            "engine pending-event queue: binary_heap | ladder",
+            "engine pending-event queue: binary_heap | radix",
             [&scenario](std::string_view text) {
               scenario.platform.event_queue =
                   parse_event_queue_policy("--event_queue", text);

@@ -232,11 +232,9 @@ void Scenario::validate() const {
                    "Scenario: use the plfs workload for ad_plfs");
       break;
     case Workload::probe:
+      // A sampler or controller sends the run to the fleet route (see
+      // is_legacy_probe), as for the same list given through from_jobs.
       PFSC_REQUIRE(writers >= 1, "Scenario: probe needs at least one writer");
-      PFSC_REQUIRE(trace.interval == 0.0,
-                   "Scenario: the probe workload does not support a trace sampler");
-      PFSC_REQUIRE(ctrl.mode == ctrl::CtrlMode::off,
-                   "Scenario: the probe workload does not support --ctrl");
       break;
     case Workload::jobs:
       throw UsageError("Scenario: Workload::jobs needs a non-empty job_list");
@@ -759,8 +757,7 @@ void apply_trace_env(Scenario& s) {
     s.trace.out = out;
   }
   if (const char* interval = std::getenv("PFSC_TRACE_INTERVAL");
-      interval != nullptr && *interval != '\0' &&
-      !(s.job_list.empty() && s.workload == Workload::probe)) {
+      interval != nullptr && *interval != '\0') {
     char* end = nullptr;
     s.trace.interval = std::strtod(interval, &end);
     PFSC_REQUIRE(end != interval && *end == '\0' && s.trace.interval >= 0.0,

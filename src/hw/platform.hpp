@@ -48,10 +48,10 @@ struct PlatformParams {
   // -- event queue --------------------------------------------------------
   /// Pending-event queue backing the simulation engine. Purely a
   /// performance knob: both queues dispatch the identical (time, seq)
-  /// order, pinned by the golden regression tests and the heap-vs-ladder
-  /// property test. `ladder` (amortised O(1)) is the default; `binary_heap`
+  /// order, pinned by the golden regression tests and the heap-vs-radix
+  /// property test. `radix` (amortised O(1)) is the default; `binary_heap`
   /// is the O(log n) reference. See sim/event_queue.hpp and DESIGN.md §10.
-  sim::EventQueuePolicy event_queue = sim::EventQueuePolicy::ladder;
+  sim::EventQueuePolicy event_queue = sim::EventQueuePolicy::radix;
 
   // -- OSS request scheduling ---------------------------------------------
   /// Server-side (NRS-style) request scheduling on each OSS: how the OSS

@@ -67,17 +67,6 @@ void Engine::dispatch_one() {
   ev.h.resume();
 }
 
-const ScheduledEvent* Engine::drain_cancelled_front() {
-  const ScheduledEvent* top = queue_->peek();
-  while (top != nullptr && !cancelled_.empty() &&
-         cancelled_.erase(top->seq) > 0) {
-    queue_->pop();
-    --pending_;
-    top = queue_->peek();
-  }
-  return top;
-}
-
 /// Roll the engine's batched dispatch span: every engine_sample_every()
 /// dispatches, close the open span (arg0 = dispatches it covered) and open
 /// the next. A batch span therefore covers real simulated time — event
@@ -115,16 +104,27 @@ void Engine::run() {
 
 bool Engine::run_until(Seconds t) {
   for (;;) {
-    // Cancelled tombstones are not pending work: drain them first so an
-    // engine left with nothing but a stopped sampler's wakeup reports
-    // "drained" instead of fast-forwarding the clock to t.
-    const ScheduledEvent* top = drain_cancelled_front();
+    const ScheduledEvent* top = queue_->peek();
     if (top == nullptr) return true;
     if (top->t > t) {
-      now_ = t;
-      return false;
+      // Cancelled tombstones are not pending work: an engine left with
+      // nothing but a stopped sampler's wakeup reports "drained" instead
+      // of fast-forwarding the clock to t. Every cancelled seq names a
+      // pending entry, so the counts tell. Tombstones are left in place
+      // otherwise: popping one past t would let the queue take its time
+      // as the floor, and the model may schedule between t and it.
+      if (pending_ != cancelled_.size()) {
+        now_ = t;
+        return false;
+      }
+      while (pending_ != 0) {
+        const ScheduledEvent ev = queue_->pop();
+        --pending_;
+        PFSC_ASSERT(cancelled_.erase(ev.seq) > 0);
+      }
+      return true;
     }
-    dispatch_one();
+    dispatch_one();  // also pops, and skips, a tombstone due by t
     rethrow_pending();
   }
 }

@@ -6,7 +6,7 @@
 // resources.hpp for the synchronisation primitives built on this engine.
 //
 // The pending-event set is a pluggable sim::EventQueue (event_queue.hpp):
-// a calendar/ladder queue by default, the reference binary heap on
+// a monotone radix queue by default, the reference binary heap on
 // request. Both pop the globally minimal (time, seq) event, so the choice
 // cannot change simulation results — only wall-clock speed. The engine
 // also owns a FrameArena (arena.hpp) that recycles coroutine-frame
@@ -44,7 +44,7 @@ struct WakeToken {
 
 class Engine {
  public:
-  explicit Engine(EventQueuePolicy policy = EventQueuePolicy::ladder);
+  explicit Engine(EventQueuePolicy policy = EventQueuePolicy::radix);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -106,9 +106,11 @@ class Engine {
   /// reclaimed at engine teardown like any unfinished root); the queue
   /// entry is skipped lazily when it reaches the front, without advancing
   /// time or the event count, and its tombstone is erased at that point.
-  /// Null tokens are ignored. Used by trace::Sampler::stop() to drop its
-  /// pending wakeup so a stopped sampler cannot keep the engine alive
-  /// until the next tick.
+  /// Null tokens are ignored; a token whose wakeup has already fired must
+  /// not be passed (holders reset theirs when it fires), since run_until
+  /// counts the cancelled seqs as pending tombstones. Used by
+  /// trace::Sampler::stop() to drop its pending wakeup so a stopped
+  /// sampler cannot keep the engine alive until the next tick.
   void cancel_scheduled(WakeToken tok) {
     if (tok.seq != 0) cancelled_.insert(tok.seq);
   }
@@ -128,9 +130,6 @@ class Engine {
 
  private:
   void dispatch_one();
-  /// Pop leading cancelled entries, erasing their tombstones; returns the
-  /// first live pending event (nullptr when none remain).
-  const ScheduledEvent* drain_cancelled_front();
   void rethrow_pending();
   void trace_dispatch();
 

@@ -8,27 +8,31 @@
 //  * BinaryHeapQueue — std::priority_queue over the key: O(log n) per
 //    push/pop. The reference implementation; simple, and what the engine
 //    shipped with historically.
-//  * LadderQueue     — calendar queue (Brown '88) of min-heap buckets with
-//    lazy resizing: events hash into `buckets` of `width` simulated
-//    seconds each by floor(t / width), a cursor walks the buckets in year
-//    order, and each bucket keeps its events as a tiny binary heap. With
-//    the width tracking the observed event-time spread (recomputed from
-//    the live events at every capacity doubling/halving) buckets hold O(1)
-//    events, making push/pop amortised O(1) instead of O(log n). A flat
-//    "today" ring short-circuits the calendar for schedule-at-now wakeups
-//    (the bulk of a coroutine DES's traffic), which arrive pre-sorted.
-//    This is the queue the DES literature recommends once event counts
-//    reach the tens of millions a 4,096-rank PLFS run executes.
+//  * RadixQueue      — monotone radix queue (the default). The engine
+//    never schedules before now(), so every pending key is at or above
+//    the current instant, the base. Times are keyed on their IEEE-754
+//    bit pattern, which orders non-negative doubles like integers, and
+//    each event sits in the bucket of the highest bit in which its key
+//    differs from the base: 64 buckets, lower buckets hold smaller keys.
+//    Events at the base instant form a FIFO run that pops in seq order,
+//    so the schedule-at-now wakeups that dominate a coroutine DES are a
+//    vector append and a head bump. When the run empties, the lowest
+//    non-empty bucket is scanned for its minimum, which becomes the new
+//    base; that bucket's events move into the run or into strictly lower
+//    buckets. An event therefore moves at most 64 times in its life, and
+//    no bucket width has to be tuned to the model's time scales.
 //
 // Determinism: pop() always returns the minimal (t, seq) pending event,
 // so every implementation yields the same dispatch sequence; the golden
-// regression tests and the heap-vs-ladder property test pin this.
+// regression tests and the heap-vs-radix property test pin this.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "support/units.hpp"
@@ -48,7 +52,7 @@ static_assert(sizeof(ScheduledEvent) == 24,
 
 enum class EventQueuePolicy {
   binary_heap,  // reference O(log n) heap
-  ladder,       // calendar/ladder queue, amortised O(1) (default)
+  radix,        // monotone radix queue, amortised O(1) (default)
 };
 
 const char* event_queue_policy_name(EventQueuePolicy policy);
@@ -61,8 +65,9 @@ class EventQueue {
 
   virtual void push(const ScheduledEvent& ev) = 0;
   /// The minimal pending event, or nullptr when empty. The pointer is
-  /// valid until the next push/pop. Non-const: implementations may advance
-  /// internal cursors while locating the minimum.
+  /// valid until the next push/pop. Peeking never changes what a later
+  /// push may schedule: anything at or after the last popped time stays
+  /// valid, even below the peeked event.
   virtual const ScheduledEvent* peek() = 0;
   /// Remove and return the minimal pending event. Requires !empty().
   virtual ScheduledEvent pop() = 0;
@@ -100,76 +105,53 @@ class BinaryHeapQueue final : public EventQueue {
   std::vector<ScheduledEvent> heap_;
 };
 
-/// Calendar queue of min-heap buckets; see file header. All operations are
-/// amortised O(1) when the bucket width matches the event-time spread,
-/// which the lazy resize maintains.
-class LadderQueue final : public EventQueue {
+/// Monotone radix queue over the (t, seq) key; see file header. Requires
+/// the engine's two invariants: no push is timed before the last popped
+/// event (a drained queue accepts any time), and `seq` grows with every
+/// push.
+class RadixQueue final : public EventQueue {
  public:
-  LadderQueue();
-
   void push(const ScheduledEvent& ev) override;
   const ScheduledEvent* peek() override;
   ScheduledEvent pop() override;
 
   bool empty() const override { return size_ == 0; }
   std::size_t size() const override { return size_; }
-  EventQueuePolicy policy() const override { return EventQueuePolicy::ladder; }
-
-  // -- introspection (tests/benchmarks) ---------------------------------
-  std::size_t bucket_count() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
+  EventQueuePolicy policy() const override { return EventQueuePolicy::radix; }
 
  private:
-  struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+  /// Non-negative doubles order exactly as their bit patterns; `+ 0.0`
+  /// folds -0.0 onto +0.0 so the two spellings of zero share one key.
+  static std::uint64_t key(Seconds t) {
+    return std::bit_cast<std::uint64_t>(t + 0.0);
+  }
+  /// Bucket of a key above the base: the highest bit it differs in.
+  std::size_t bucket_of(std::uint64_t k) const {
+    return static_cast<std::size_t>(std::bit_width(k ^ base_) - 1);
+  }
+  /// Rebase on the bucketed minimum: move its instant into the run and
+  /// redistribute the rest of its bucket below it.
+  void refill();
+  /// Advance the run's head, emptying the run once it is drained.
+  void consume_run_head() {
+    if (++run_head_ == run_.size()) {  // drained: reset, keep capacity
+      run_.clear();
+      run_head_ = 0;
     }
-  };
-  using Bucket = std::vector<ScheduledEvent>;  // min-heap on (t, seq)
-
-  /// Virtual bucket index of time `t` (the bucket array wraps this by
-  /// `mask_`, one wrap per "year"). Placement and the cursor's window test
-  /// both use this exact function, so floating-point rounding can never
-  /// strand an event between a bucket and its window. Multiplies by the
-  /// cached reciprocal: one fewer division on both hot paths.
-  std::uint64_t vbucket(Seconds t) const {
-    const double q = t * inv_width_;
-    // Clamp absurd quotients (huge t over a tiny width) into the final
-    // year rather than overflowing the conversion.
-    if (q >= 9.0e18) return static_cast<std::uint64_t>(9.0e18);
-    return static_cast<std::uint64_t>(q);
   }
 
-  /// Point `cached_` at the bucket holding the global minimum; returns
-  /// false when empty. Amortised O(1): the cursor resumes where it left
-  /// off, and a full fruitless lap falls back to a direct scan + jump.
-  bool locate_min();
-  /// Rebuild with `nbuckets` buckets and a width recomputed from the
-  /// observed spread of the live events.
-  void rebuild(std::size_t nbuckets);
-  void maybe_grow();
-  void maybe_shrink();
-
-  std::vector<Bucket> buckets_;
-  std::size_t mask_ = 0;         // buckets_.size() - 1 (power of two)
-  double width_ = 1.0;           // seconds per bucket
-  double inv_width_ = 1.0;       // 1 / width_, kept in lockstep
-  std::uint64_t cur_vb_ = 0;     // cursor: current virtual bucket
-  std::size_t size_ = 0;         // total pending (calendar + today ring)
-  std::size_t cal_size_ = 0;     // events in buckets_
-  std::size_t cached_bucket_ = 0;
-  bool cache_valid_ = false;
-  std::vector<ScheduledEvent> scratch_;  // rebuild staging, reused
-
-  // "Today" ring: events pushed with t <= the last popped time (the
-  // schedule-at-now wakeups joins/semaphores/pipes produce constantly).
-  // They arrive already sorted — t is pinned to the engine's now and seq
-  // grows monotonically — so a flat ring holds them in pop order with no
-  // hashing or heap ops at all.
-  std::vector<ScheduledEvent> today_;
-  std::size_t today_head_ = 0;
-  double t_floor_ = 0.0;  // time of the last popped event (monotone)
+  // Bucket b holds the events whose key first differs from base_ at bit b,
+  // so every key in bucket b is below every key in bucket b + 1. Vectors
+  // keep (bounded) capacity across refills: the steady state allocates
+  // next to nothing.
+  std::array<std::vector<ScheduledEvent>, 64> buckets_;
+  std::uint64_t nonempty_ = 0;  // bit b set iff buckets_[b] is non-empty
+  std::uint64_t base_ = 0;      // key of the current instant
+  // The current instant's events in seq order; pops come from its head,
+  // and the vector is emptied (capacity kept) whenever the head drains it.
+  std::vector<ScheduledEvent> run_;
+  std::size_t run_head_ = 0;
+  std::size_t size_ = 0;
 };
 
 std::unique_ptr<EventQueue> make_event_queue(EventQueuePolicy policy);

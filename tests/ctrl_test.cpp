@@ -397,12 +397,16 @@ TEST(CtrlScenario, ValidateRejectsDegenerateSchedTuning) {
   EXPECT_THROW(s.validate(), UsageError);
 }
 
-TEST(CtrlScenario, ProbeWorkloadRejectsController) {
-  harness::Scenario s;
-  s.workload = harness::Workload::probe;
-  s.writers = 2;
+TEST(CtrlScenario, ProbeWorkloadRunsControllerOnTheFleetRoute) {
+  // A controller moves the probe workload off the legacy probe route, as
+  // it does for the same list given through Scenario::from_jobs.
+  harness::Scenario s = harness::Scenario::probe(2, 8_MiB);
   s.ctrl.mode = ctrl::CtrlMode::pfl;
-  EXPECT_THROW(s.validate(), UsageError);
+  EXPECT_NO_THROW(s.validate());
+  const harness::Observation obs = harness::run_scenario(s, 1);
+  ASSERT_EQ(obs.per_job.size(), 2u);
+  EXPECT_TRUE(obs.probe.per_process_mbps.empty());  // not the legacy route
+  for (const ior::Result& r : obs.per_job) EXPECT_GT(r.write_mbps, 0.0);
 }
 
 }  // namespace

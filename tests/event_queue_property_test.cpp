@@ -1,5 +1,5 @@
 // Property tests for the pluggable event queues: on seeded random
-// schedule/cancel workloads, the ladder queue must dispatch exactly the
+// schedule/cancel workloads, the radix queue must dispatch exactly the
 // (time, seq) sequence the reference binary heap dispatches — first at the
 // queue level (raw push/pop op streams), then end to end through the
 // Engine with coroutines, delays and token cancellations in the mix. A
@@ -8,6 +8,7 @@
 // reproducer, like sched_property_test does for the schedulers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <string>
@@ -28,7 +29,8 @@ namespace {
 
 struct Op {
   bool push = false;
-  double dt = 0.0;  // for pushes: offset above the last popped time
+  double dt = 0.0;        // for pushes: offset above the last popped time
+  std::size_t count = 1;  // for pushes: events scheduled at that instant
 };
 
 std::vector<Op> gen_ops(std::uint64_t seed) {
@@ -40,11 +42,19 @@ std::vector<Op> gen_ops(std::uint64_t seed) {
     Op op;
     op.push = rng.uniform(3) != 0;  // 2:1 push:pop keeps the queue loaded
     if (op.push) {
-      switch (rng.uniform(4)) {
+      switch (rng.uniform(6)) {
         case 0: op.dt = 0.0; break;  // same-timestamp burst: FIFO tiebreak
         case 1: op.dt = rng.uniform_double(0.0, 1.0e-5); break;   // RPC-ish
         case 2: op.dt = rng.uniform_double(0.0, 10.0); break;     // coarse
-        default: op.dt = rng.uniform_double(0.0, 1.0e5); break;   // far tail
+        case 3: op.dt = rng.uniform_double(0.0, 1.0e5); break;    // far tail
+        default:  // the measured mix: horizons log-uniform in [1e-9, 1e1] s
+          op.dt = std::pow(10.0, rng.uniform_double(-9.0, 1.0));
+          break;
+      }
+      // Collective-style fan-outs: 1,024+ events due at one instant.
+      if (rng.uniform(40) == 0) {
+        op.count = 1024 + static_cast<std::size_t>(rng.uniform(1024));
+        if (rng.uniform(2) == 0) op.dt = 0.0;
       }
     }
     ops.push_back(op);
@@ -64,7 +74,9 @@ std::vector<std::pair<double, std::uint64_t>> replay(EventQueuePolicy policy,
   double now = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (ops[i].push) {
-      q->push({now + ops[i].dt, seq++, std::noop_coroutine()});
+      for (std::size_t c = 0; c < ops[i].count; ++c) {
+        q->push({now + ops[i].dt, seq++, std::noop_coroutine()});
+      }
     } else if (!q->empty()) {
       const ScheduledEvent ev = q->pop();
       now = ev.t;
@@ -80,24 +92,24 @@ std::vector<std::pair<double, std::uint64_t>> replay(EventQueuePolicy policy,
 
 std::string compare_traces(const std::vector<Op>& ops, std::size_t n) {
   const auto heap = replay(EventQueuePolicy::binary_heap, ops, n);
-  const auto ladder = replay(EventQueuePolicy::ladder, ops, n);
-  if (heap.size() != ladder.size()) {
+  const auto radix = replay(EventQueuePolicy::radix, ops, n);
+  if (heap.size() != radix.size()) {
     return "trace lengths differ: heap " + std::to_string(heap.size()) +
-           " vs ladder " + std::to_string(ladder.size());
+           " vs radix " + std::to_string(radix.size());
   }
   for (std::size_t i = 0; i < heap.size(); ++i) {
-    if (heap[i] != ladder[i]) {
+    if (heap[i] != radix[i]) {
       return "dispatch " + std::to_string(i) + " differs: heap (t=" +
              std::to_string(heap[i].first) + ", seq=" +
-             std::to_string(heap[i].second) + ") vs ladder (t=" +
-             std::to_string(ladder[i].first) + ", seq=" +
-             std::to_string(ladder[i].second) + ")";
+             std::to_string(heap[i].second) + ") vs radix (t=" +
+             std::to_string(radix[i].first) + ", seq=" +
+             std::to_string(radix[i].second) + ")";
     }
   }
   return {};
 }
 
-TEST(EventQueueProperty, LadderMatchesHeapOnRandomOpStreams) {
+TEST(EventQueueProperty, RadixMatchesHeapOnRandomOpStreams) {
   for (std::uint64_t seed = 1; seed <= 80; ++seed) {
     const std::vector<Op> ops = gen_ops(seed);
     const std::string err = compare_traces(ops, ops.size());
@@ -182,15 +194,15 @@ std::vector<Fired> run_engine_workload(EventQueuePolicy policy,
 TEST(EventQueueProperty, EnginesDispatchIdenticallyUnderCancellation) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const auto heap = run_engine_workload(EventQueuePolicy::binary_heap, seed);
-    const auto ladder = run_engine_workload(EventQueuePolicy::ladder, seed);
-    ASSERT_EQ(heap.size(), ladder.size()) << "seed " << seed;
+    const auto radix = run_engine_workload(EventQueuePolicy::radix, seed);
+    ASSERT_EQ(heap.size(), radix.size()) << "seed " << seed;
     for (std::size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i].at, ladder[i].at)
+      ASSERT_EQ(heap[i].at, radix[i].at)
           << "seed " << seed << " firing " << i << " worker "
           << heap[i].worker << " step " << heap[i].step;
-      ASSERT_EQ(heap[i].worker, ladder[i].worker)
+      ASSERT_EQ(heap[i].worker, radix[i].worker)
           << "seed " << seed << " firing " << i;
-      ASSERT_EQ(heap[i].step, ladder[i].step)
+      ASSERT_EQ(heap[i].step, radix[i].step)
           << "seed " << seed << " firing " << i;
     }
   }

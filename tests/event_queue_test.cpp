@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -53,7 +54,7 @@ class EveryQueue : public ::testing::TestWithParam<EventQueuePolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(Policies, EveryQueue,
                          ::testing::Values(EventQueuePolicy::binary_heap,
-                                           EventQueuePolicy::ladder),
+                                           EventQueuePolicy::radix),
                          [](const auto& info) {
                            return event_queue_policy_name(info.param);
                          });
@@ -109,50 +110,110 @@ TEST_P(EveryQueue, PeekMatchesPopAndInterleavesWithPush) {
   EXPECT_EQ(q->peek(), nullptr);
 }
 
-TEST(LadderQueue, GrowsAndShrinksWithPopulation) {
-  LadderQueue q;
-  const std::size_t initial = q.bucket_count();
+TEST_P(EveryQueue, ExtremeTimesOrderAndZeroSignsShareAnInstant) {
+  auto q = make_event_queue(GetParam());
+  const double inf = std::numeric_limits<double>::infinity();
+  q->push({inf, 1, dummy_handle()});
+  q->push({0.0, 2, dummy_handle()});
+  q->push({1.0e300, 3, dummy_handle()});
+  q->push({-0.0, 4, dummy_handle()});  // -0.0 == +0.0: FIFO by seq
+  q->push({1.0, 5, dummy_handle()});
+  q->push({0.0, 6, dummy_handle()});
+  q->push({inf, 7, dummy_handle()});
+  const auto evs = drain(*q);
+  std::vector<std::uint64_t> seqs;
+  for (const ScheduledEvent& ev : evs) seqs.push_back(ev.seq);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 4, 6, 5, 3, 1, 7}));
+}
+
+TEST_P(EveryQueue, FarFutureTailStaysOrdered) {
+  // A sparse tail (job arrivals, sampler ticks) pending under a dense
+  // stream of ~10 us service events, as in a fleet run.
+  auto q = make_event_queue(GetParam());
   std::uint64_t seq = 1;
-  Rng rng(0xE003);
-  for (int i = 0; i < 4096; ++i) {
-    q.push({rng.uniform_double(0.0, 100.0), seq++, dummy_handle()});
+  for (const double t : {1.0e-6, 5.0, 60.0, 9000.0, 9.0e7}) {
+    q->push({t, seq++, dummy_handle()});
   }
-  EXPECT_GT(q.bucket_count(), initial);
-  while (q.size() > 8) (void)q.pop();
-  EXPECT_LT(q.bucket_count(), 4096u);
-  auto evs = drain(q);
-  EXPECT_TRUE(ordered(evs));
+  Rng rng(0xE004);
+  double now = 0.0;
+  std::vector<ScheduledEvent> popped;
+  for (int i = 0; i < 5000; ++i) {
+    q->push({now + rng.uniform_double(5.0e-6, 1.5e-5), seq++,
+             dummy_handle()});
+    const ScheduledEvent ev = q->pop();
+    now = ev.t;
+    popped.push_back(ev);
+  }
+  const auto rest = drain(*q);
+  popped.insert(popped.end(), rest.begin(), rest.end());
+  ASSERT_EQ(popped.size(), 5005u);
+  EXPECT_TRUE(ordered(popped));
+  EXPECT_EQ(popped.back().t, 9.0e7);
 }
 
-TEST(LadderQueue, SparseFarFutureTailStaysOrdered) {
-  // Events separated by far more than a bucket "year" exercise the
-  // fruitless-lap direct-search fallback and the cursor jump.
-  LadderQueue q;
-  std::uint64_t seq = 1;
-  q.push({1.0e-6, seq++, dummy_handle()});
-  q.push({5.0, seq++, dummy_handle()});
-  q.push({9000.0, seq++, dummy_handle()});
-  q.push({9.0e7, seq++, dummy_handle()});
-  auto evs = drain(q);
-  ASSERT_EQ(evs.size(), 4u);
-  EXPECT_TRUE(ordered(evs));
-  EXPECT_EQ(evs.front().t, 1.0e-6);
-  EXPECT_EQ(evs.back().t, 9.0e7);
-}
-
-TEST(LadderQueue, ReusableAfterFullDrain) {
-  LadderQueue q;
+TEST_P(EveryQueue, ReusableAfterFullDrain) {
+  // Each wave is timed before the last: a drained queue accepts any time.
+  auto q = make_event_queue(GetParam());
   std::uint64_t seq = 1;
   for (int wave = 0; wave < 3; ++wave) {
-    const double base = wave * 1000.0;
+    const double base = (2 - wave) * 1000.0;
     for (int i = 0; i < 100; ++i) {
-      q.push({base + static_cast<double>(i % 7), seq++, dummy_handle()});
+      q->push({base + static_cast<double>(i % 7), seq++, dummy_handle()});
     }
-    auto evs = drain(q);
+    auto evs = drain(*q);
     ASSERT_EQ(evs.size(), 100u);
     EXPECT_TRUE(ordered(evs));
-    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(q->empty());
+    EXPECT_EQ(q->peek(), nullptr);
   }
+}
+
+TEST(RadixQueue, SameInstantFifoSurvivesRefillsFromSeveralBuckets) {
+  // Events due at T = 4 are pushed while the base sits at different
+  // instants, so they enter different buckets; refills then carry them
+  // down bucket by bucket, interleaved with direct pushes. The instant
+  // must still pop in schedule order.
+  RadixQueue q;
+  constexpr double kT = 4.0;
+  std::uint64_t seq = 1;
+  std::vector<std::uint64_t> at_t;
+  double now = 0.0;
+  Rng rng(0xE005);
+  for (int round = 0; round < 200; ++round) {
+    at_t.push_back(seq);
+    q.push({kT, seq++, dummy_handle()});
+    q.push({now + rng.uniform_double(0.0, kT - now) * 0.5, seq++,
+            dummy_handle()});
+    if (rng.uniform(2) == 0) {
+      q.push({kT + rng.uniform_double(0.0, 1.0), seq++, dummy_handle()});
+    }
+    const ScheduledEvent ev = q.pop();
+    ASSERT_LT(ev.t, kT);
+    now = ev.t;
+  }
+  std::vector<ScheduledEvent> rest = drain(q);
+  EXPECT_TRUE(ordered(rest));
+  std::vector<std::uint64_t> popped_at_t;
+  for (const ScheduledEvent& ev : rest) {
+    if (ev.t == kT) popped_at_t.push_back(ev.seq);
+  }
+  EXPECT_EQ(popped_at_t, at_t);
+}
+
+TEST(RadixQueue, PeekDoesNotRebase) {
+  // After a peek at a bucketed minimum, a push between the last pop and
+  // the peeked event is still legal and pops first.
+  RadixQueue q;
+  q.push({1.0, 1, dummy_handle()});
+  q.push({5.0, 2, dummy_handle()});
+  EXPECT_EQ(q.pop().seq, 1u);  // base moves to t = 1
+  ASSERT_NE(q.peek(), nullptr);
+  EXPECT_EQ(q.peek()->seq, 2u);
+  q.push({3.0, 3, dummy_handle()});
+  EXPECT_EQ(q.peek()->seq, 3u);
+  EXPECT_EQ(q.pop().seq, 3u);
+  EXPECT_EQ(q.pop().seq, 2u);
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +236,7 @@ class EveryEngine : public ::testing::TestWithParam<EventQueuePolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(Policies, EveryEngine,
                          ::testing::Values(EventQueuePolicy::binary_heap,
-                                           EventQueuePolicy::ladder),
+                                           EventQueuePolicy::radix),
                          [](const auto& info) {
                            return event_queue_policy_name(info.param);
                          });
@@ -242,6 +303,75 @@ TEST_P(EveryEngine, RunUntilDrainsLeadingTombstonesBeforeDeciding) {
   EXPECT_EQ(eng.now(), 1.0);
 }
 
+Task log_when_resumed(std::coroutine_handle<>* slot, int id,
+                      std::vector<int>* log) {
+  co_await CaptureHandle{slot};
+  log->push_back(id);
+}
+
+TEST_P(EveryEngine, ScheduleBelowAPeekedEventAfterRunUntilDispatchesFirst) {
+  // run_until peeks the next event (t = 5), stops at its horizon (t = 2)
+  // and leaves the clock there; a wakeup scheduled in between (t = 3)
+  // must still dispatch before the peeked one.
+  Engine eng(GetParam());
+  std::coroutine_handle<> first;
+  std::coroutine_handle<> early;
+  std::coroutine_handle<> late;
+  std::vector<int> log;
+  eng.spawn(log_when_resumed(&first, 1, &log));
+  eng.spawn(log_when_resumed(&early, 2, &log));
+  eng.spawn(log_when_resumed(&late, 3, &log));
+  EXPECT_TRUE(eng.run_until(0.0));
+  eng.schedule(first, 1.0);
+  EXPECT_TRUE(eng.run_until(1.0));  // the queue's base moves to t = 1
+  ASSERT_EQ(log, (std::vector<int>{1}));
+  eng.schedule(late, 5.0);
+  EXPECT_FALSE(eng.run_until(2.0));
+  EXPECT_EQ(eng.now(), 2.0);
+  eng.schedule(early, 3.0);
+  eng.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.now(), 5.0);
+}
+
+TEST_P(EveryEngine, TombstoneBeyondTheHorizonDoesNotMoveTheFloor) {
+  // run_until finds a cancelled wakeup (t = 5) ahead of the next live one
+  // (t = 6), stops at t = 2, and a wakeup at t = 3 follows.
+  Engine eng(GetParam());
+  std::coroutine_handle<> a;
+  std::coroutine_handle<> b;
+  std::vector<int> log;
+  eng.spawn(log_when_resumed(&a, 1, &log));
+  eng.spawn(log_when_resumed(&b, 2, &log));
+  EXPECT_TRUE(eng.run_until(0.0));
+  eng.cancel_scheduled(eng.schedule(a, 5.0));
+  eng.schedule(b, 6.0);
+  EXPECT_FALSE(eng.run_until(2.0));
+  EXPECT_EQ(eng.now(), 2.0);
+  eng.schedule(a, 3.0);
+  eng.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.now(), 6.0);
+}
+
+TEST_P(EveryEngine, RunEndingOnATombstoneAcceptsEarlierWakeups) {
+  // run() pops a cancelled wakeup (t = 5) last and leaves the clock at
+  // t = 0; a wakeup at t = 1 must still be accepted and fire.
+  Engine eng(GetParam());
+  std::coroutine_handle<> h;
+  int fired = 0;
+  eng.spawn(suspend_once_then_count(&h, &fired));
+  (void)eng.run_until(0.0);
+  ASSERT_TRUE(h);
+  eng.cancel_scheduled(eng.schedule(h, 5.0));
+  eng.run();
+  EXPECT_EQ(eng.now(), 0.0);
+  eng.schedule(h, 1.0);
+  eng.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eng.now(), 1.0);
+}
+
 TEST(EngineCancel, NullTokenIsIgnored) {
   Engine eng;
   eng.cancel_scheduled(WakeToken{});  // must be a no-op
@@ -257,8 +387,8 @@ TEST(EngineCancel, NullTokenIsIgnored) {
 TEST(EnginePolicy, ReportsItsQueuePolicy) {
   Engine heap(EventQueuePolicy::binary_heap);
   EXPECT_EQ(heap.event_queue_policy(), EventQueuePolicy::binary_heap);
-  Engine ladder;
-  EXPECT_EQ(ladder.event_queue_policy(), EventQueuePolicy::ladder);
+  Engine radix;
+  EXPECT_EQ(radix.event_queue_policy(), EventQueuePolicy::radix);
 }
 
 // ---------------------------------------------------------------------------

@@ -104,10 +104,15 @@ TEST(Misuse, ScenarioGuards) {
   plfs_spec.workload = harness::Workload::plfs;
   EXPECT_THROW(plfs_spec.validate(), UsageError);
 
-  harness::Scenario probe_sampler;  // probe does not host a sampler
+  harness::Scenario probe_sampler;  // probe needs a writer...
   probe_sampler.workload = harness::Workload::probe;
-  probe_sampler.trace.interval = 1.0;
+  probe_sampler.writers = 0;
   EXPECT_THROW(probe_sampler.validate(), UsageError);
+  probe_sampler.writers = 4;  // ...but may host a sampler and a controller:
+  probe_sampler.trace.mode = trace::TraceMode::summary;  // both move it to
+  probe_sampler.trace.interval = 1.0;                   // the fleet route
+  probe_sampler.ctrl.mode = ctrl::CtrlMode::full;
+  EXPECT_NO_THROW(probe_sampler.validate());
 
   harness::Scenario no_procs;
   no_procs.nprocs = 0;

@@ -227,16 +227,27 @@ TEST(TraceIntegration, ValidateRejectsInconsistentTraceConfig) {
   s.trace.out = "trace.json";  // out without a mode
   EXPECT_THROW(s.validate(), UsageError);
 
-  Scenario p;
-  p.workload = Workload::probe;
-  p.trace.mode = trace::TraceMode::full;
-  p.trace.interval = 1.0;  // probe cannot host the trace sampler
-  EXPECT_THROW(p.validate(), UsageError);
-
   Scenario neg = small_multi();
   neg.trace.mode = trace::TraceMode::full;
   neg.trace.interval = -1.0;
   EXPECT_THROW(neg.validate(), UsageError);
+}
+
+TEST(TraceIntegration, ProbeWithASamplerRunsOnTheFleetRoute) {
+  // --trace summary --trace_interval 1 on the probe workload: the sampler
+  // moves the run off the legacy probe route, and every writer still
+  // writes its whole payload.
+  Scenario s = Scenario::probe(4);
+  s.trace.mode = trace::TraceMode::summary;
+  s.trace.interval = 1.0;
+  const Observation obs = run_scenario(s, /*seed=*/2);
+  EXPECT_TRUE(obs.traced);
+  ASSERT_EQ(obs.trace_summary.job_bytes.size(), 4u);
+  for (const auto& [job, bytes] : obs.trace_summary.job_bytes) {
+    EXPECT_EQ(bytes, s.bytes_per_writer) << "writer " << job;
+  }
+  ASSERT_EQ(obs.per_job.size(), 4u);
+  EXPECT_GT(obs.bandwidth.size(), 0u);
 }
 
 TEST(TraceIntegration, EnvironmentOverrideEnablesTracing) {
